@@ -13,7 +13,9 @@
 //
 // A third section times Cluster::run_full_gc on a 16-process garbage mesh,
 // serial vs. the phase-split parallel path, and checks both reclaim the
-// same number of objects.
+// same number of objects; a fourth scales that mesh's depth (3, 6, 12, 24
+// dependencies per process pair, no ballast) and records CDM detection
+// wall time against the CDM count.
 //
 // Each datapoint is also emitted as JSONL via RGC_BENCH_JSONL (see
 // bench_util.h).  scripts/bench_all.sh collects a whole run; the committed
@@ -207,6 +209,77 @@ void bench_full_gc() {
       .field("speedup", speedup)
       .field("hw_threads", hw)
       .field("identical", identical ? 1 : 0);
+}
+
+// ---- Mesh-depth scaling section ---------------------------------------------
+
+struct DepthRun {
+  double detect_us{0};
+  std::uint64_t cdms{0};
+  std::uint64_t detections{0};
+  std::uint64_t cycles_found{0};
+  std::uint64_t reclaimed{0};
+};
+
+/// run_full_gc over a bare 16-process garbage mesh of the given depth
+/// (inter-process dependencies per adjacent pair; no ballast, so CDM
+/// detection is nearly all the work).  Detection wall time comes from the
+/// cycle.detect_us profile (every start_detection/on_cdm call).
+DepthRun run_mesh_depth(std::size_t depth) {
+  core::ClusterConfig cfg;
+  cfg.net.seed = 42;
+  core::Cluster cluster{cfg};
+  workload::build_mesh(cluster, {.processes = 16,
+                                 .dependencies = depth,
+                                 .extra_replicas = 1});
+  cluster.run_until_quiescent();
+  const core::Cluster::FullGcStats stats = cluster.run_full_gc();
+  DepthRun run;
+  if (const util::Histogram* h =
+          cluster.profile().find_histogram("cycle.detect_us")) {
+    run.detect_us = static_cast<double>(h->sum());
+  }
+  run.cdms = cluster.network().total_sent("CDM");
+  run.detections = cluster.metric_total("cycle.detections_started");
+  run.cycles_found = stats.cycles_found;
+  run.reclaimed = stats.reclaimed_objects;
+  return run;
+}
+
+void bench_mesh_depth() {
+  // Near-linear detection means detect_us tracks the CDM count as the mesh
+  // deepens; a per-hop cost that grows with the state a CDM carries shows
+  // up as detect_us per CDM climbing with depth.
+  run_mesh_depth(3);  // warm-up
+  std::printf("\nlgc_hotpath.mesh_depth  processes=16 extra_replicas=1, "
+              "no ballast\n");
+  std::printf("  %5s %12s %9s %10s %11s %7s %9s\n", "depth", "detect_ms",
+              "cdms", "us/cdm", "detections", "cycles", "reclaimed");
+  for (const std::size_t depth : {3, 6, 12, 24}) {
+    // Best of three: wall-clock minima filter a shared host's noise; the
+    // counts are deterministic.
+    DepthRun best;
+    for (int i = 0; i < 3; ++i) {
+      const DepthRun r = run_mesh_depth(depth);
+      if (i == 0 || r.detect_us < best.detect_us) best = r;
+    }
+    const double per_cdm =
+        best.cdms > 0 ? best.detect_us / static_cast<double>(best.cdms) : 0;
+    std::printf("  %5zu %12.2f %9llu %10.2f %11llu %7llu %9llu\n", depth,
+                best.detect_us / 1000.0,
+                static_cast<unsigned long long>(best.cdms), per_cdm,
+                static_cast<unsigned long long>(best.detections),
+                static_cast<unsigned long long>(best.cycles_found),
+                static_cast<unsigned long long>(best.reclaimed));
+    bench::RunRecord rec{"lgc_hotpath.mesh_depth.d" + std::to_string(depth)};
+    rec.field("depth", static_cast<std::uint64_t>(depth))
+        .field("detect_us", best.detect_us)
+        .field("cdms", best.cdms)
+        .field("us_per_cdm", per_cdm)
+        .field("detections", best.detections)
+        .field("cycles_found", best.cycles_found)
+        .field("reclaimed", best.reclaimed);
+  }
 }
 
 // ---- Summarization section -------------------------------------------------
@@ -753,6 +826,7 @@ int main() {
   bench_summarize();
   bench_summarize_dirty_sweep();
   bench_full_gc();
+  bench_mesh_depth();
   bench_audit();
   bench_recorder();
   bench_ledger();

@@ -44,22 +44,34 @@ done
 echo "wrote $(wc -l < "$OUT") datapoints to $OUT"
 
 # Perf trajectory: diff this run against the newest committed BENCH_*.json
-# baseline (newest by last-touching commit; skipping the one we just wrote,
-# if OUT itself is a baseline being refreshed).
+# baseline, skipping the one we just wrote (if OUT itself is a baseline
+# being refreshed).  Baselines are ordered by name, not by commit time
+# (commits can share a timestamp): BENCH_seed.json first, then
+# BENCH_pr<N>.json by numeric N.
 if command -v python3 >/dev/null 2>&1; then
   BASELINE=""
-  NEWEST=0
+  BEST=-1
   while IFS= read -r f; do
     [[ "$f" -ef "$OUT" ]] && continue
-    ts=$(git log -1 --format=%ct -- "$f" 2>/dev/null || echo 0)
-    if [[ "${ts:-0}" -gt "$NEWEST" ]]; then
-      NEWEST="$ts"
+    case "$f" in
+      BENCH_seed.json) rank=0 ;;
+      BENCH_pr*.json)
+        n="${f#BENCH_pr}"
+        n="${n%.json}"
+        [[ "$n" =~ ^[0-9]+$ ]] || continue
+        rank=$((10#$n + 1))
+        ;;
+      *) continue ;;
+    esac
+    if ((rank > BEST)); then
+      BEST="$rank"
       BASELINE="$f"
     fi
   done < <(git ls-files 'BENCH_*.json' 2>/dev/null)
   if [[ -n "$BASELINE" ]]; then
-    # --gate: >10% regression in the guarded full_gc/trace/summarize
-    # headline fields (see bench_diff.py GATED) fails the whole run.
+    # --gate: >10% regression in the guarded headline fields (see
+    # bench_diff.py GATED) fails the whole run.
+    echo "baseline: $BASELINE"
     python3 scripts/bench_diff.py --gate "$BASELINE" "$OUT"
   else
     echo "no committed BENCH_*.json baseline to diff against"

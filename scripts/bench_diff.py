@@ -8,8 +8,9 @@ sides are printed with their relative change.  Fields present on only one
 side are listed (new benches and new fields are normal as the suite grows).
 
 Without --gate the exit code is always 0 — a trajectory report.  With
---gate the guarded sections below (full_gc / trace / summarize) fail the
-run (exit 1) when a headline field regresses by more than the threshold
+--gate the guarded sections below (full_gc / trace / summarize / daemon /
+mesh_depth) fail the run (exit 1) when a headline field regresses by more
+than the threshold
 (default 10%); benches or fields absent from either side are skipped, so
 filtered runs gate only what they measured.
 """
@@ -32,6 +33,13 @@ GATED = {
         "p90_e2e": "lower",
     },
     "lgc_hotpath.daemon": {"adaptive_ms": "lower"},
+    # CDM detection scaling (bench/lgc_hotpath.cpp mesh_depth section): the
+    # detection wall time and the CDM count at each mesh depth.  The CDM
+    # count is deterministic, so any rise there is a protocol change.
+    **{
+        f"lgc_hotpath.mesh_depth.d{depth}": {"detect_us": "lower", "cdms": "lower"}
+        for depth in (3, 6, 12, 24)
+    },
 }
 
 

@@ -70,6 +70,13 @@ if [[ "${1:-}" != "--fast" ]]; then
   echo "== scale smoke under ASan/UBSan =="
   ctest --test-dir build-asan -L scale --output-on-failure -j "$JOBS"
 
+  # CDM detection (docs/PERFORMANCE.md §7): the cycle-labelled algebra and
+  # detector suites under ASan/UBSan.  A track's Cdm is moved from hop to
+  # hop, not copied, so a read after the move in conclude() or a trace path
+  # is exactly what this leg exists to catch.
+  echo "== cycle suites under ASan/UBSan =="
+  ctest --test-dir build-asan -L cycle --output-on-failure -j "$JOBS"
+
   # Cycle cost ledger (docs/OBSERVABILITY.md "Cycle cost ledger"): the
   # ledger-labelled suite under ASan — the hop/slot arrays are fixed-size
   # rings, exactly where out-of-bounds indexing would hide — and the

@@ -84,7 +84,9 @@ void Cluster::build_node(ProcessId pid, Node& node) {
   node.last_summary_fresh = true;
   node.alive = true;
   termination_->attach(pid);
-  net_.attach(pid, [this, pid](const net::Envelope& env) { dispatch(pid, env); });
+  net_.attach(pid, [this, pid](const net::Envelope& env, net::MessagePtr msg) {
+    dispatch(pid, env, std::move(msg));
+  });
 }
 
 std::size_t Cluster::process_count() const noexcept {
@@ -633,13 +635,14 @@ std::uint64_t Cluster::metric_total(const std::string& name) const {
   return total;
 }
 
-void Cluster::dispatch(ProcessId pid, const net::Envelope& env) {
+void Cluster::dispatch(ProcessId pid, const net::Envelope& env,
+                       net::MessagePtr msg) {
   Node& node = nodes_.at(pid);
   // Any delivery is proof of life: renew the sender's lease.  Deliberately
   // epoch-silent (rm::Process::note_heard), so piggybacked heartbeats never
   // invalidate the dirty-epoch summary cache.
   node.process->note_heard(env.src, net_.now());
-  const net::Message* m = env.msg;
+  net::Message* m = msg.get();
   if (const auto* p = dynamic_cast<const rm::PropagateMsg*>(m)) {
     node.process->on_propagate(env, *p);
   } else if (const auto* p = dynamic_cast<const rm::InvokeMsg*>(m)) {
@@ -678,11 +681,12 @@ void Cluster::dispatch(ProcessId pid, const net::Envelope& env) {
     gc::Adgc::on_unreachable(*node.process, env, *p);
   } else if (const auto* p = dynamic_cast<const gc::ReclaimMsg*>(m)) {
     gc::Adgc::on_reclaim(*node.process, env, *p);
-  } else if (const auto* p = dynamic_cast<const gc::CdmMsg*>(m)) {
+  } else if (auto* p = dynamic_cast<gc::CdmMsg*>(m)) {
     if (config_.mode == DetectorMode::kBaseline) {
       node.baseline->on_cdm(env, *p);
     } else {
-      node.detector->on_cdm(env, *p);
+      // The dispatch owns the delivered message: hand the CDM over.
+      node.detector->on_cdm(env, std::move(*p));
     }
   } else if (const auto* p = dynamic_cast<const gc::CutMsg*>(m)) {
     node.detector->on_cut(env, *p);

@@ -383,7 +383,9 @@ class Cluster {
   /// Worker pool for the read-only phases, created on first use.
   util::ThreadPool& pool();
 
-  void dispatch(ProcessId pid, const net::Envelope& env);
+  /// Routes one delivery to its protocol handler; owns the message (see
+  /// net::Network::Sink), so handlers may consume its payload.
+  void dispatch(ProcessId pid, const net::Envelope& env, net::MessagePtr msg);
   void handle_cycle_found(ProcessId at, const gc::Cdm& cdm);
 
   /// (Re)creates the live half of a Node for `pid` (process + detectors +

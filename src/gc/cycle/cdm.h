@@ -19,8 +19,11 @@
 // detector has examined the stub side and seen every local path to it).
 #pragma once
 
+#include <compare>
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -35,19 +38,28 @@ namespace rgc::gc {
 struct Element {
   enum class Kind : std::uint8_t { kReplica = 0, kRefLink = 1 };
 
-  Kind tag{Kind::kReplica};
+  // Declared widest first so the element packs into 24 bytes (the tag sits
+  // in the tail); the ordering below is still (tag, replica, holder).
+
   /// kReplica: the replica itself.  kRefLink: target object @ target
   /// process of the link.
   Replica replica;
   /// kRefLink only: the process holding the stub.
   ProcessId holder{kNoProcess};
+  Kind tag{Kind::kReplica};
 
-  static Element make(Replica r) { return {Kind::kReplica, r, kNoProcess}; }
+  static Element make(Replica r) { return {r, kNoProcess, Kind::kReplica}; }
   static Element make(const RefLink& l) {
-    return {Kind::kRefLink, Replica{l.target, l.target_process}, l.holder};
+    return {Replica{l.target, l.target_process}, l.holder, Kind::kRefLink};
   }
 
-  friend constexpr auto operator<=>(const Element&, const Element&) = default;
+  friend constexpr bool operator==(const Element&, const Element&) = default;
+  friend constexpr std::strong_ordering operator<=>(const Element& a,
+                                                    const Element& b) {
+    if (const auto c = a.tag <=> b.tag; c != 0) return c;
+    if (const auto c = a.replica <=> b.replica; c != 0) return c;
+    return a.holder <=> b.holder;
+  }
 };
 
 std::string to_string(const Element& e);
@@ -89,7 +101,22 @@ struct Cdm {
   /// wanderer's dependencies poison the whole message).  The verdict here
   /// closes over the *candidate's requirement closure* instead; the flat
   /// sets still drive traversal and reporting.  See DESIGN.md §7.
-  std::vector<std::pair<Element, Element>> dep_edges;
+  ///
+  /// Kept as a sorted, duplicate-free edge set ordered by (from, on): the
+  /// edges out of one element form a contiguous run, so require()'s dedup
+  /// and the closure walk's adjacency lookups are binary searches.  The
+  /// attribution semantics are those of the insertion-ordered list it
+  /// replaces, and the element count — hence CdmMsg::weight() — is the
+  /// same.
+  util::FlatSet<std::pair<Element, Element>> dep_edges;
+
+  /// Verdict cache for cycle_complete(), not protocol state (weight() does
+  /// not count it): an element last found in the candidate's closure but
+  /// not in the target set.  Edges are only ever added, so the closure only
+  /// grows; while this element stays unvisited the verdict is "incomplete"
+  /// after a single lookup.  Being written by a const method, it makes
+  /// concurrent cycle_complete() calls on one Cdm a data race.
+  mutable std::optional<Element> open_hint;
 
   /// Traversal continuations, in the paper's priority order (§3.3): child
   /// replicas first ("child replicas are traversed before their parents"),
@@ -103,6 +130,10 @@ struct Cdm {
   /// sent (as a fork, one CDM per target) when no unresolved child remains.
   std::vector<Replica> pending_refs;
 
+  /// Every accepted observe() call, sorted by link (repeats of one link
+  /// stay adjacent, all with the same counter), so the race barrier finds a
+  /// link by binary search.  Repeats are kept: the wire weight counts each
+  /// observation made along the track.
   std::vector<Observation> observations;
 
   /// Records `obs`; returns false when a previous observation of the same
@@ -121,8 +152,11 @@ struct Cdm {
   [[nodiscard]] util::FlatSet<Element> unresolved() const;
 
   /// The refined matching: every element the candidate's garbage-ness
-  /// depends on has been visited and found unreachable.
-  [[nodiscard]] bool cycle_complete() const { return unresolved().empty(); }
+  /// depends on has been visited and found unreachable.  Walks the closure
+  /// and stops at the first unvisited element; the candidate itself enters
+  /// the target set only when the loop closes, so on most hops this is a
+  /// single lookup.
+  [[nodiscard]] bool cycle_complete() const;
 
   /// The paper's flat matching (used by the baseline detector and by the
   /// traversal heuristics): every source-set element in the target set.

@@ -1,6 +1,7 @@
 #include "gc/cycle/detector.h"
 
 #include <algorithm>
+#include <optional>
 #include <stdexcept>
 
 #include "obs/ledger.h"
@@ -70,6 +71,11 @@ bool CycleDetector::subsumed(std::uint64_t detection, ObjectId entry,
   for (const auto& t : prior) {
     if (targets.subset_of(t)) return true;
   }
+  // Keep only maximal sets: a prior set inside the new one can no longer
+  // be the sole witness of a later subsumption.
+  std::erase_if(prior, [&](const util::FlatSet<Element>& t) {
+    return t.subset_of(targets);
+  });
   prior.push_back(targets);
   return false;
 }
@@ -107,11 +113,12 @@ std::optional<std::uint64_t> CycleDetector::start_detection(ObjectId candidate) 
     return std::nullopt;
   }
   counters_.detections_started.inc();
-  conclude(cdm, remote_out);
-  return cdm.detection_id;
+  const std::uint64_t id = cdm.detection_id;
+  conclude(std::move(cdm), remote_out);
+  return id;
 }
 
-void CycleDetector::on_cdm(const net::Envelope& env, const CdmMsg& msg) {
+void CycleDetector::on_cdm(const net::Envelope& env, CdmMsg&& msg) {
   const util::ScopedTimerUs profile{profile_us_};
   counters_.cdms_received.inc();
   auto& trace = util::Trace::instance();
@@ -139,14 +146,17 @@ void CycleDetector::on_cdm(const net::Envelope& env, const CdmMsg& msg) {
             to_string(msg.entry),
             msg.via == EntryVia::kProp ? " via prop " : " via ref ",
             msg.cdm.to_string());
-  Cdm cdm = msg.cdm;
+  // This handler is the delivered message's last reader: take the CDM
+  // over instead of copying it.
+  Cdm cdm = std::move(msg.cdm);
   ++cdm.hops;
   if (trace.enabled()) {
     auto args = cdm_args(cdm);
     args.push_back(util::TraceArg::str("entry", to_string(msg.entry)));
     args.push_back(util::TraceArg::str(
         "via", msg.via == EntryVia::kProp ? "prop" : "ref"));
-    cdm.trace_id = trace.instant("cdm.recv", process_.id(), msg.cdm.trace_id,
+    // Parent: the sender's event, still in trace_id until reassigned here.
+    cdm.trace_id = trace.instant("cdm.recv", process_.id(), cdm.trace_id,
                                  /*with_id=*/true, std::move(args));
   }
   std::vector<rm::StubKey> remote_out;
@@ -155,7 +165,7 @@ void CycleDetector::on_cdm(const net::Envelope& env, const CdmMsg& msg) {
     record_abort(v, cdm.trace_id);
     return;
   }
-  conclude(cdm, remote_out);
+  conclude(std::move(cdm), remote_out);
 }
 
 bool CycleDetector::locally_live(ObjectId obj) const {
@@ -347,7 +357,7 @@ CycleDetector::Visit CycleDetector::examine(Cdm& cdm, ObjectId obj,
         record_abort(v, branch.trace_id);
         continue;  // this branch dies; its siblings live on
       }
-      if (v == Visit::kOk) conclude(branch, branch_out);
+      if (v == Visit::kOk) conclude(std::move(branch), branch_out);
     }
   }
   return Visit::kOk;
@@ -397,7 +407,7 @@ CycleDetector::Visit CycleDetector::examine_stub(
   return Visit::kOk;
 }
 
-void CycleDetector::conclude(Cdm& cdm, const std::vector<rm::StubKey>& remote_out) {
+void CycleDetector::conclude(Cdm cdm, const std::vector<rm::StubKey>& remote_out) {
   const ProcessId self = process_.id();
   auto& trace = util::Trace::instance();
 
@@ -432,24 +442,29 @@ void CycleDetector::conclude(Cdm& cdm, const std::vector<rm::StubKey>& remote_ou
     }
   }
 
-  auto next_forward = [&](const std::vector<Replica>& queue) -> const Replica* {
+  // First queued replica still to visit.  Visited entries are dropped from
+  // the queue for good (the target set only grows), so it stays short.
+  auto next_forward = [&](std::vector<Replica>& queue) -> std::optional<Replica> {
+    std::erase_if(queue, [&](const Replica& dest) {
+      return cdm.targets.contains(Element::make(dest));
+    });
     for (const Replica& dest : queue) {
-      if (dest.process == self) continue;  // local replicas were examined
-      if (cdm.targets.contains(Element::make(dest))) continue;
-      return &dest;
+      if (dest.process != self) return dest;  // local replicas were examined
     }
-    return nullptr;
+    return std::nullopt;
   };
+  // A forward continues the track in exactly one message: hand the CDM
+  // over.  `cdm` is spent afterwards; every caller returns right away.
   auto forward_to = [&](const Replica& dest) {
     auto msg = std::make_unique<CdmMsg>();
-    msg->cdm = cdm;
+    msg->cdm = std::move(cdm);
     msg->entry = dest.object;
     msg->via = EntryVia::kProp;
     msg->forwarded = true;
     if (trace.enabled()) {
       msg->cdm.trace_id = trace.instant(
-          "cdm.forward", self, cdm.trace_id, /*with_id=*/true,
-          {util::TraceArg::num("detection", cdm.detection_id),
+          "cdm.forward", self, msg->cdm.trace_id, /*with_id=*/true,
+          {util::TraceArg::num("detection", msg->cdm.detection_id),
            util::TraceArg::str("to", to_string(dest))});
     }
     process_.network().send(self, dest.process, std::move(msg));
@@ -468,15 +483,23 @@ void CycleDetector::conclude(Cdm& cdm, const std::vector<rm::StubKey>& remote_ou
     }
     if (sends.empty()) return false;
     cdm.pending_refs.clear();
-    for (const Replica& target : sends) {
+    const std::uint64_t parent = cdm.trace_id;
+    for (std::size_t i = 0; i < sends.size(); ++i) {
+      const Replica& target = sends[i];
       auto msg = std::make_unique<CdmMsg>();
-      msg->cdm = cdm;
+      // Only the extra targets are real forks and pay for a copy; the last
+      // send takes the CDM over (`cdm` is spent afterwards).
+      if (i + 1 < sends.size()) {
+        msg->cdm = cdm;
+      } else {
+        msg->cdm = std::move(cdm);
+      }
       msg->entry = target.object;
       msg->via = EntryVia::kRef;
       if (trace.enabled()) {
         msg->cdm.trace_id = trace.instant(
-            "cdm.send", self, cdm.trace_id, /*with_id=*/true,
-            {util::TraceArg::num("detection", cdm.detection_id),
+            "cdm.send", self, parent, /*with_id=*/true,
+            {util::TraceArg::num("detection", msg->cdm.detection_id),
              util::TraceArg::str("to", to_string(target))});
       }
       process_.network().send(self, target.process, std::move(msg));
@@ -489,18 +512,18 @@ void CycleDetector::conclude(Cdm& cdm, const std::vector<rm::StubKey>& remote_ou
     // Per-link traversal (Table 2's absolute accounting): references
     // first, propagation forwards only once no reference remains.
     if (send_refs()) return;
-    if (const Replica* dest = next_forward(cdm.forward_first)) {
+    if (const auto dest = next_forward(cdm.forward_first)) {
       forward_to(*dest);
       return;
     }
-    if (const Replica* dest = next_forward(cdm.forward_last)) {
+    if (const auto dest = next_forward(cdm.forward_last)) {
       forward_to(*dest);
       return;
     }
   } else {
     // §3.3 priority 1 — child replicas: forward (no recomputation) to the
     // first unresolved one; reference sends wait in pending_refs.
-    if (const Replica* child = next_forward(cdm.forward_first)) {
+    if (const auto child = next_forward(cdm.forward_first)) {
       forward_to(*child);
       return;
     }
@@ -509,7 +532,7 @@ void CycleDetector::conclude(Cdm& cdm, const std::vector<rm::StubKey>& remote_ou
     // Priority 3 — parents: "only when a child replica believes it
     // belongs to a distributed cycle of garbage, it forwards its CDM to
     // its parent".
-    if (const Replica* parent = next_forward(cdm.forward_last)) {
+    if (const auto parent = next_forward(cdm.forward_last)) {
       forward_to(*parent);
       return;
     }

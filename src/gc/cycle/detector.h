@@ -33,6 +33,14 @@
 // observations of the same link means a mutator or the coherence engine
 // moved behind the detector's back — the track aborts (optimistic scheme:
 // applications never block, a detection is merely wasted).
+//
+// CDM ownership: a track's Cdm is moved, not copied, from hop to hop.
+// on_cdm takes the delivered message over (the network hands it to the
+// handler after every observer and the tap have seen it), conclude()
+// consumes its Cdm, and the one outgoing message that continues a track —
+// the forward, or the last reference send — takes the Cdm over.  Only
+// real forks copy: the extra reference targets and the local branches.
+// A Cdm must not be read after it was passed to conclude().
 #pragma once
 
 #include <cstdint>
@@ -96,7 +104,8 @@ class CycleDetector {
   std::optional<std::uint64_t> start_detection(ObjectId candidate);
 
   // Message handlers (wired by the Cluster dispatcher).
-  void on_cdm(const net::Envelope& env, const CdmMsg& msg);
+  /// Consumes `msg.cdm` (see "CDM ownership" above).
+  void on_cdm(const net::Envelope& env, CdmMsg&& msg);
   void on_cut(const net::Envelope& env, const CutMsg& msg);
   void on_prop_cut(const net::Envelope& env, const PropCutMsg& msg);
 
@@ -130,8 +139,9 @@ class CycleDetector {
   /// in the current snapshot.
   [[nodiscard]] bool locally_live(ObjectId obj) const;
 
-  /// Post-examination: verdict, flood, forward, or end of track.
-  void conclude(Cdm& cdm, const std::vector<rm::StubKey>& remote_out);
+  /// Post-examination: verdict, flood, forward, or end of track.  Takes the
+  /// track's Cdm over and hands it on to the message that continues it.
+  void conclude(Cdm cdm, const std::vector<rm::StubKey>& remote_out);
 
   /// Counts the abort and emits a lineage-terminating trace event chained
   /// to `parent` (the track's latest CDM event).
@@ -141,6 +151,7 @@ class CycleDetector {
   /// target set is a subset of one already processed here for the same
   /// entry cannot discover anything new — drop it.  Keeps flooding linear
   /// when detection branches reconverge; cleared with every new snapshot.
+  /// Only the maximal target sets per key are kept.
   bool subsumed(std::uint64_t detection, ObjectId entry,
                 const util::FlatSet<Element>& targets);
 

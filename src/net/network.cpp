@@ -20,9 +20,14 @@ Network::Network(NetworkConfig config)
   queue_depth_hist_ = &metrics_.histogram("net.queue_depth");
 }
 
-void Network::attach(ProcessId process, Handler handler) {
-  handlers_[process] = std::move(handler);
+void Network::attach(ProcessId process, Sink sink) {
+  handlers_[process] = std::move(sink);
   dead_.erase(process);
+}
+
+void Network::attach(ProcessId process, Handler handler) {
+  attach(process, [handler = std::move(handler)](const Envelope& env,
+                                                 MessagePtr) { handler(env); });
 }
 
 void Network::detach(ProcessId process) {
@@ -253,7 +258,7 @@ bool Network::step() {
       const Envelope env{m.src, m.dst, m.seq, m.sent_at, m.msg.get()};
       emit_deliver(env);
       if (tap_) tap_(env);
-      it->second(env);
+      it->second(env, std::move(m.msg));
     }
   }
 

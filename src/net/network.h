@@ -41,6 +41,11 @@ struct NetworkConfig {
 class Network {
  public:
   using Handler = std::function<void(const Envelope&)>;
+  /// A delivery handler that also receives ownership of the message.  It
+  /// runs after every observer and the tap, so it is the message's last
+  /// reader and may consume the payload instead of copying it.
+  /// `Envelope::msg` points at the handed-over message.
+  using Sink = std::function<void(const Envelope&, MessagePtr)>;
 
   /// Transport-event observer: sees every send/deliver/drop/duplicate with
   /// the full envelope, before any protocol handler runs.  Used by the
@@ -76,6 +81,8 @@ class Network {
   /// Must be called before the first delivery to that process.  Re-attaching
   /// a previously detached (crashed) process clears its dead marker — the
   /// restart path.
+  void attach(ProcessId process, Sink sink);
+  /// Same, for handlers that only read the message.
   void attach(ProcessId process, Handler handler);
 
   /// Crash semantics: removes the handler, marks the process dead, and purges
@@ -244,7 +251,7 @@ class Network {
   util::Gauge queue_depth_;
   util::Histogram* queue_depth_hist_{nullptr};
   std::uint64_t now_{0};
-  std::map<ProcessId, Handler> handlers_;
+  std::map<ProcessId, Sink> handlers_;
   /// Processes crashed via detach() and not yet re-attached.  Distinct from
   /// "never attached": delivering to the latter is still a programming error
   /// (logic_error), while sends to the former are dropped at the source.

@@ -51,6 +51,31 @@ TEST(Network, DeliversAfterOneStep) {
   EXPECT_EQ(rec.values[0], 42);
 }
 
+TEST(Network, SinkTakesOwnershipAfterTheTap) {
+  // The handler is the delivered message's last reader: the tap sees it
+  // first, then the sink owns it and may keep or consume it.
+  Network net;
+  const ProcessId a{0}, b{1};
+  std::vector<int> tapped;
+  std::vector<MessagePtr> kept;
+  net.set_tap([&](const Envelope& env) {
+    tapped.push_back(static_cast<const TestMsg*>(env.msg)->value);
+  });
+  net.attach(a, [](const Envelope&) {});
+  net.attach(b, [&](const Envelope& env, MessagePtr msg) {
+    ASSERT_EQ(env.msg, msg.get());
+    EXPECT_EQ(tapped.size(), kept.size() + 1) << "tap runs before the sink";
+    kept.push_back(std::move(msg));
+  });
+  net.send(a, b, make(7));
+  net.send(a, b, make(8));
+  net.step();
+  ASSERT_EQ(kept.size(), 2u);
+  EXPECT_EQ(static_cast<const TestMsg*>(kept[0].get())->value, 7);
+  EXPECT_EQ(static_cast<const TestMsg*>(kept[1].get())->value, 8);
+  EXPECT_EQ(tapped, (std::vector<int>{7, 8}));
+}
+
 TEST(Network, NeverDeliversInSendStep) {
   Network net;
   const ProcessId a{0}, b{1};
