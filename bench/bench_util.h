@@ -12,15 +12,39 @@
 // record and writes nothing.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <string>
 #include <type_traits>
+#include <vector>
 
 #include "util/trace.h"  // json_escape
 
 namespace rgc::bench {
+
+/// Median and spread of repeated measurements of one quantity.  `spread`
+/// is the interquartile range over the median (0.1 = the middle half of
+/// the runs lies within 10% of the median); quartiles interpolate linearly
+/// between order statistics.
+struct Repeated {
+  double median{0};
+  double spread{0};
+};
+
+inline Repeated repeated(std::vector<double> runs) {
+  if (runs.empty()) return {};
+  std::sort(runs.begin(), runs.end());
+  const auto quantile = [&](double q) {
+    const double pos = q * static_cast<double>(runs.size() - 1);
+    const auto lo = static_cast<std::size_t>(pos);
+    const std::size_t hi = std::min(lo + 1, runs.size() - 1);
+    return runs[lo] + (runs[hi] - runs[lo]) * (pos - static_cast<double>(lo));
+  };
+  const double median = quantile(0.5);
+  return {median, median != 0 ? (quantile(0.75) - quantile(0.25)) / median : 0};
+}
 
 /// Builder for one JSONL record; emits on destruction (or emit()).
 class RunRecord {

@@ -6,7 +6,8 @@
 // work optimizes:
 //
 //   - trace throughput — objects visited per second of Lgc::collect wall
-//     time on a 100k-object local mesh (fanout 4, fully live, one root);
+//     time on a 100k-object local mesh (fanout 4, fully live, one root),
+//     the median of repeated runs with its interquartile spread;
 //   - allocations per collection — global operator new invocations during
 //     one steady-state collection (the seed implementation allocated a
 //     std::map node per visited object per trace family).
@@ -69,6 +70,10 @@ constexpr std::uint64_t kObjects = 100000;
 constexpr int kFanout = 4;
 constexpr int kWarmup = 2;
 constexpr int kRuns = 10;
+/// Repetitions of the gated single-process timings (trace, summarize): a
+/// single shot swings by more than the 10% gate on a shared host, so the
+/// record carries the median and the interquartile spread instead.
+constexpr int kReps = 7;
 
 /// 100k-object local mesh: object i references i+1, i+7, i+31, i+107
 /// (mod n), one root at 0 — everything live, maximal trace work.
@@ -105,12 +110,16 @@ void bench_trace() {
   const std::uint64_t allocs_per = g_allocs.load() - allocs_before;
   const std::uint64_t bytes_per = g_alloc_bytes.load() - bytes_before;
 
-  const auto t0 = Clock::now();
-  for (int i = 0; i < kRuns; ++i) gc::Lgc::collect(proc, cfg);
-  const double secs =
-      std::chrono::duration<double>(Clock::now() - t0).count();
-  const double objs_per_sec =
-      static_cast<double>(traced) * kRuns / (secs > 0 ? secs : 1e-9);
+  std::vector<double> rates;
+  for (int rep = 0; rep < kReps; ++rep) {
+    const auto t0 = Clock::now();
+    for (int i = 0; i < kRuns; ++i) gc::Lgc::collect(proc, cfg);
+    const double secs =
+        std::chrono::duration<double>(Clock::now() - t0).count();
+    rates.push_back(static_cast<double>(traced) * kRuns /
+                    (secs > 0 ? secs : 1e-9));
+  }
+  const bench::Repeated rate = bench::repeated(rates);
 
   std::printf("lgc_hotpath.trace   objects=%llu traced=%llu\n",
               static_cast<unsigned long long>(kObjects),
@@ -118,14 +127,18 @@ void bench_trace() {
   std::printf("  one collection: %.2f ms, %llu allocs, %llu bytes\n", one_ms,
               static_cast<unsigned long long>(allocs_per),
               static_cast<unsigned long long>(bytes_per));
-  std::printf("  throughput: %.0f traced objects/sec\n", objs_per_sec);
+  std::printf("  throughput: %.0f traced objects/sec (median of %d, spread"
+              " %.1f%%)\n",
+              rate.median, kReps, rate.spread * 100);
 
   bench::RunRecord rec{"lgc_hotpath.trace"};
   rec.field("objects", kObjects)
       .field("fanout", kFanout)
       .field("traced_per_collection", traced)
       .field("runs", kRuns)
-      .field("objects_per_sec", objs_per_sec)
+      .field("reps", kReps)
+      .field("objects_per_sec_median", rate.median)
+      .field("objects_per_sec_spread", rate.spread)
       .field("allocs_per_collection", allocs_per)
       .field("alloc_bytes_per_collection", bytes_per)
       .field("collection_ms", one_ms);
@@ -347,13 +360,18 @@ void bench_summarize() {
       kSumRuns;
 
   const std::uint64_t allocs_before = g_allocs.load();
-  const auto f0 = Clock::now();
-  for (int i = 0; i < kSumRuns; ++i) fast = gc::summarize(proc);
-  const double fast_ms =
-      std::chrono::duration<double, std::milli>(Clock::now() - f0).count() /
-      kSumRuns;
-  const std::uint64_t allocs_per = (g_allocs.load() - allocs_before) / kSumRuns;
-  const double speedup = fast_ms > 0 ? ref_ms / fast_ms : 0;
+  std::vector<double> fast_runs;
+  for (int rep = 0; rep < kReps; ++rep) {
+    const auto f0 = Clock::now();
+    for (int i = 0; i < kSumRuns; ++i) fast = gc::summarize(proc);
+    fast_runs.push_back(
+        std::chrono::duration<double, std::milli>(Clock::now() - f0).count() /
+        kSumRuns);
+  }
+  const std::uint64_t allocs_per =
+      (g_allocs.load() - allocs_before) / (kSumRuns * kReps);
+  const bench::Repeated fast_ms = bench::repeated(fast_runs);
+  const double speedup = fast_ms.median > 0 ? ref_ms / fast_ms.median : 0;
 
   // Warm re-snapshot: nothing mutated between rounds, so the dirty-epoch
   // cache must make the second snapshot_all round practically free.
@@ -366,9 +384,9 @@ void bench_summarize() {
 
   std::printf("\nlgc_hotpath.summarize  scions=%zu stubs=%zu replicas=%zu\n",
               fast.scions.size(), fast.stubs.size(), fast.replicas.size());
-  std::printf("  cold: reference %.2f ms, one-pass %.2f ms — %.1fx"
-              " (%llu allocs/run)\n",
-              ref_ms, fast_ms, speedup,
+  std::printf("  cold: reference %.2f ms, one-pass %.2f ms (median of %d,"
+              " spread %.1f%%) — %.1fx (%llu allocs/run)\n",
+              ref_ms, fast_ms.median, kReps, fast_ms.spread * 100, speedup,
               static_cast<unsigned long long>(allocs_per));
   std::printf("  warm re-snapshot (all clean): %.0f us, %llu summaries reused\n",
               warm_us, static_cast<unsigned long long>(reused));
@@ -379,7 +397,9 @@ void bench_summarize() {
       .field("stubs", fast.stubs.size())
       .field("replicas", fast.replicas.size())
       .field("reference_ms", ref_ms)
-      .field("one_pass_ms", fast_ms)
+      .field("reps", kReps)
+      .field("one_pass_ms_median", fast_ms.median)
+      .field("one_pass_ms_spread", fast_ms.spread)
       .field("speedup", speedup)
       .field("allocs_per_run", allocs_per)
       .field("warm_resnapshot_us", warm_us)

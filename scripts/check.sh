@@ -77,6 +77,13 @@ if [[ "${1:-}" != "--fast" ]]; then
   echo "== cycle suites under ASan/UBSan =="
   ctest --test-dir build-asan -L cycle --output-on-failure -j "$JOBS"
 
+  # LGC result reuse (docs/PERFORMANCE.md §8): the lgc-labelled suites
+  # under ASan/UBSan.  A kept LgcResult outlives the collection that made
+  # it and the summary anchor index points into its own map, so a stale
+  # reference after kill/restart or a summary copy would surface here.
+  echo "== lgc suites under ASan/UBSan =="
+  ctest --test-dir build-asan -L lgc --output-on-failure -j "$JOBS"
+
   # Cycle cost ledger (docs/OBSERVABILITY.md "Cycle cost ledger"): the
   # ledger-labelled suite under ASan — the hop/slot arrays are fixed-size
   # rings, exactly where out-of-bounds indexing would hide — and the

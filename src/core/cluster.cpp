@@ -82,6 +82,7 @@ void Cluster::build_node(ProcessId pid, Node& node) {
   node.process->set_ledger(ledger_.get());
   node.summary_cache_valid = false;
   node.last_summary_fresh = true;
+  node.lgc_reusable = false;
   node.alive = true;
   termination_->attach(pid);
   net_.attach(pid, [this, pid](const net::Envelope& env, net::MessagePtr msg) {
@@ -329,42 +330,20 @@ util::ThreadPool& Cluster::pool() {
   return *pool_;
 }
 
-gc::LgcResult Cluster::collect(ProcessId id) {
+const gc::LgcResult& Cluster::collect(ProcessId id) {
   Node& node = nodes_.at(id);
   if (!node.alive) throw std::out_of_range("process is down");
-  rm::Process& proc = *node.process;
-  // Attribute collection-time log/trace output to the collecting process.
-  util::ScopedProcess ctx{id};
-  gc::LgcConfig cfg;
-  cfg.finalizer = &finalizer_;
-  gc::LgcResult result = gc::Lgc::collect(proc, cfg);
+  collect_nodes({id}, {&node});
+  return node.lgc;
+}
 
-  // Candidate heuristics digest every collection regardless of policy —
-  // the distance announcements cost a few bytes on traffic that flows
-  // anyway, and tests/benches can inspect either tracker.  The post-sweep
-  // summary goes through the same dirty-epoch cache as collect_round(),
-  // keeping the two paths metric-for-metric equivalent.
-  node.distance->prune(proc);
-  std::vector<Node*> just_this{&node};
-  std::vector<gc::ProcessSummary> summaries;
-  summarize_all(just_this, summaries, &profile_.histogram("lgc.summarize_us"));
-  const auto announcements =
-      node.distance->after_collection(proc, result, &summaries[0]);
-  node.suspicion->after_collection(proc, result);
-
-  gc::Adgc::after_collection(proc, result, &announcements);
-  return result;
+const gc::LgcResult& Cluster::last_collection(ProcessId id) const {
+  const Node& node = nodes_.at(id);
+  if (!node.alive) throw std::out_of_range("process is down");
+  return node.lgc;
 }
 
 std::uint64_t Cluster::collect_round() {
-  // Equivalent to collect() on every process in pid order: each process's
-  // state is private, and cross-process effects travel only through
-  // messages queued on the network (delivered at a later step()), so
-  // reordering *read-only* work across processes cannot change any
-  // outcome.  The phases that mutate a process, share the finalizer, emit
-  // log/trace output, or send messages run serially in pid order — which
-  // makes results, metrics, traffic, and traces identical for any thread
-  // count.
   std::vector<ProcessId> pids;
   std::vector<Node*> nodes;
   pids.reserve(nodes_.size());
@@ -374,52 +353,93 @@ std::uint64_t Cluster::collect_round() {
     pids.push_back(pid);
     nodes.push_back(&node);
   }
-  const std::size_t n = nodes.size();
+  const std::uint64_t reclaimed = collect_nodes(pids, nodes);
+  if (recorder_) {
+    recorder_->phase(obs::kPhaseCollectRound, reclaimed, nodes.size());
+  }
+  return reclaimed;
+}
 
+std::uint64_t Cluster::collect_nodes(const std::vector<ProcessId>& pids,
+                                     const std::vector<Node*>& nodes) {
+  // Equivalent to collecting each node on its own in pid order: each
+  // process's state is private, and cross-process effects travel only
+  // through messages queued on the network (delivered at a later step()),
+  // so reordering *read-only* work across processes cannot change any
+  // outcome.  The phases that mutate a process, share the finalizer, emit
+  // log/trace output, or send messages run serially in pid order — which
+  // makes results, metrics, traffic, and traces identical for any thread
+  // count.
+  const std::size_t n = nodes.size();
   gc::LgcConfig cfg;
   cfg.finalizer = &finalizer_;
 
-  // Phase 1 — trace (read-only, parallel across processes).
+  // A node whose epoch has not moved since its last sweep keeps that
+  // collection's result (Node::lgc): the decision reads only the epoch, so
+  // it is the same for every thread count and schedule.
+  std::vector<std::uint8_t> reuse(n, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    const Node& nd = *nodes[i];
+    reuse[i] = nd.lgc_reusable && nd.lgc_epoch == nd.process->mutation_epoch();
+  }
+
+  // Phase 1 — trace the rest (read-only, parallel across processes).
   std::vector<gc::LgcMark> marks(n);
   {
     util::ScopedTimerUs timer{&profile_.histogram("lgc.mark_us")};
     pool().parallel_for(n, [&](std::size_t i) {
-      marks[i] = gc::Lgc::mark(*nodes[i]->process, cfg);
+      if (reuse[i] == 0) marks[i] = gc::Lgc::mark(*nodes[i]->process, cfg);
     });
   }
 
-  // Phase 2 — sweep + finalize (mutating, shared finalizer: serial).
-  std::vector<gc::LgcResult> results(n);
+  // Phase 2 — sweep + finalize, or account for the reuse (mutating, shared
+  // finalizer: serial).
   std::uint64_t reclaimed = 0;
   {
     util::ScopedTimerUs timer{&profile_.histogram("lgc.apply_us")};
     for (std::size_t i = 0; i < n; ++i) {
       util::ScopedProcess ctx{pids[i]};
-      results[i] = gc::Lgc::apply(*nodes[i]->process, marks[i], cfg);
-      nodes[i]->distance->prune(*nodes[i]->process);
-      reclaimed += results[i].reclaimed.size();
+      Node& nd = *nodes[i];
+      rm::Process& proc = *nd.process;
+      if (reuse[i] != 0) {
+        nd.lgc.reclaimed.clear();
+        nd.lgc.traced = 0;
+        gc::Lgc::reuse(proc, nd.lgc);
+      } else {
+        nd.lgc = gc::Lgc::apply(proc, marks[i], cfg);
+        nd.lgc_epoch = proc.mutation_epoch();
+        nd.lgc_reusable = nd.lgc.resurrected == 0;
+        reclaimed += nd.lgc.reclaimed.size();
+      }
     }
   }
 
-  // Phase 3 — post-sweep summaries for the distance heuristic (read-only,
-  // parallel; this is what made the serial round O(heap) per process even
-  // when nothing was garbage).  Nodes whose mutation epoch is unchanged
-  // since their last summary reuse it outright.
-  std::vector<gc::ProcessSummary> summaries(n);
-  summarize_all(nodes, summaries, &profile_.histogram("lgc.summarize_us"));
+  // Phase 3 — post-sweep summaries, which only the distance heuristic
+  // reads (read-only, parallel, through the dirty-epoch summary cache).
+  // The other policies skip it: their cyclic phase takes its snapshot from
+  // snapshot_all(), through the same cache.
+  const bool distance = config_.candidates == CandidatePolicy::kDistance;
+  std::vector<gc::ProcessSummary> summaries;
+  if (distance) {
+    summarize_all(nodes, summaries, &profile_.histogram("lgc.summarize_us"));
+  }
 
   // Phase 4 — heuristic digests + ADGC protocol messages (sends traffic:
-  // serial, pid order — exactly the send order of the serial path).
+  // serial, pid order).
   util::ScopedTimerUs timer{&profile_.histogram("adgc.digest_us")};
+  std::map<ProcessId, std::map<ObjectId, std::uint32_t>> announcements;
   for (std::size_t i = 0; i < n; ++i) {
     util::ScopedProcess ctx{pids[i]};
-    rm::Process& proc = *nodes[i]->process;
-    const auto announcements =
-        nodes[i]->distance->after_collection(proc, results[i], &summaries[i]);
-    nodes[i]->suspicion->after_collection(proc, results[i]);
-    gc::Adgc::after_collection(proc, results[i], &announcements);
+    Node& nd = *nodes[i];
+    rm::Process& proc = *nd.process;
+    if (distance) {
+      nd.distance->prune(proc);
+      announcements = nd.distance->after_collection(nd.lgc, summaries[i]);
+    }
+    nd.suspicion->after_collection(proc, nd.lgc);
+    gc::Adgc::after_collection(proc, nd.lgc,
+                               distance ? &announcements : nullptr);
   }
-  if (recorder_) recorder_->phase(obs::kPhaseCollectRound, reclaimed, n);
   return reclaimed;
 }
 
@@ -728,6 +748,8 @@ void Cluster::kill(ProcessId pid) {
   node.distance.reset();
   node.suspicion.reset();
   node.summary_cache_valid = false;
+  node.lgc = {};
+  node.lgc_reusable = false;
   node.alive = false;
   net_.metrics().add("cluster.crashes");
   RGC_INFO("cluster: killed ", to_string(pid));

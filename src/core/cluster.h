@@ -73,7 +73,12 @@ struct ClusterConfig {
   bool auto_cut{true};
   /// Finalization strategy used by collect()/collect_all() (Figure 6/7).
   gc::FinalizeStrategy finalize{gc::FinalizeStrategy::kNone};
-  /// Candidate selection for run_full_gc's detection sweeps.
+  /// Candidate selection for run_full_gc's detection sweeps.  Also decides
+  /// what each collection pays for: only kDistance summarizes after the
+  /// sweep and feeds the DistanceHeuristic (whose estimates then ride the
+  /// NewSetStubs rounds); under the other policies the distance tracker
+  /// stays empty and NewSetStubs carry no distances.  The suspicion-age
+  /// tracker is fed under every policy (it only reads the LGC result).
   CandidatePolicy candidates{CandidatePolicy::kExhaustive};
   /// Threshold for the heuristic policies (distance / suspicion age).
   std::uint32_t candidate_threshold{3};
@@ -284,8 +289,17 @@ class Cluster {
   }
 
   // ---- Garbage collection -------------------------------------------------
-  /// One local collection + acyclic-protocol round on one process.
-  gc::LgcResult collect(ProcessId id);
+  /// One local collection + acyclic-protocol round on one process.  When
+  /// the process's mutation epoch has not moved since its previous
+  /// collection, the kept result of that collection stands in for a new
+  /// trace (counted as lgc.marks_reused; see Node::lgc).  The returned
+  /// reference stays valid until the next collection of `id`, or its
+  /// kill() or restart().
+  const gc::LgcResult& collect(ProcessId id);
+  /// The result of the latest collection of `id`, by collect() or by a
+  /// collection round (empty before the first one).  Same lifetime as
+  /// collect()'s result.
+  [[nodiscard]] const gc::LgcResult& last_collection(ProcessId id) const;
   /// One collection round over every process, equivalent to collect() on
   /// each in id order.  With config.threads > 1 the trace phase runs
   /// concurrently across processes; sweeps and protocol messages are
@@ -310,8 +324,9 @@ class Cluster {
   /// Exhaustive multi-round GC driver: alternates acyclic rounds (LGC +
   /// ADGC + message quiescence) with detection sweeps over every suspect
   /// until a full iteration reclaims nothing and proves no new cycle.
-  /// Candidate selection is exhaustive — the paper leaves heuristics out
-  /// of scope; this is the completeness-oriented choice.
+  /// Suspects come from config.candidates; the default exhaustive policy
+  /// is the completeness-oriented choice (the paper leaves heuristics out
+  /// of scope).
   struct FullGcStats {
     std::uint64_t rounds{0};
     std::uint64_t reclaimed_objects{0};
@@ -344,6 +359,17 @@ class Cluster {
     /// (true) or reused the cache (false).  Feeds the cluster-wide
     /// cycle.summary_dirty_fraction gauge.
     bool last_summary_fresh{true};
+    /// LGC result reuse: the result of this process's last collection and
+    /// the mutation epoch read right after its sweep.  Every input of the
+    /// mark (roots, transient roots, refs, scions, stubs, props, sweeps)
+    /// bumps the epoch, so while it still matches a fresh trace would
+    /// classify exactly the same and sweep nothing — the next collection
+    /// hands this result out (reclaimed cleared, traced = 0) instead of
+    /// tracing.  A sweep that resurrected objects is never reused: they
+    /// stay unmarked in the heap for the next trace to finalize again.
+    gc::LgcResult lgc;
+    std::uint64_t lgc_epoch{0};
+    bool lgc_reusable{false};
     /// False after kill(); the pointers above are null while down.
     bool alive{true};
     /// Last persisted image (gc::encode_image bytes; "" = never persisted)
@@ -361,9 +387,18 @@ class Cluster {
                                                  const gc::ProcessSummary& s);
 
   /// The phased collection round behind collect_all()/run_full_gc():
-  /// parallel mark, serial apply, parallel summarize, serial protocol
-  /// digest.  Returns the number of objects reclaimed.
+  /// collect_nodes() over every live node, plus the recorder's phase event.
+  /// Returns the number of objects reclaimed.
   std::uint64_t collect_round();
+
+  /// The one collection path collect() and collect_round() share, over
+  /// `nodes` (pid order, `pids` alongside): parallel mark of the nodes
+  /// whose kept result is stale, serial sweep (or reuse), parallel
+  /// post-sweep summaries (kDistance only), serial heuristic digest and
+  /// ADGC protocol messages.  Leaves each result in its Node::lgc and
+  /// returns the number of objects reclaimed.
+  std::uint64_t collect_nodes(const std::vector<ProcessId>& pids,
+                              const std::vector<Node*>& nodes);
 
   /// Summarizes every node into `summaries` (parallel when threads > 1),
   /// reusing each node's cached summary when its process's mutation epoch

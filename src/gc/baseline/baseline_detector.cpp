@@ -103,25 +103,25 @@ BaselineDetector::Visit BaselineDetector::examine(Cdm& cdm, ObjectId obj,
   const ProcessId self = process_.id();
   const ProcessSummary& s = *summary_;
 
-  const auto scion_keys = s.scions_anchored_at(obj);
+  const auto anchored = s.scions_anchored_at(obj);
   const auto rep_it = s.replicas.find(obj);
   const bool replicated = rep_it != s.replicas.end();
-  if (scion_keys.empty() && !replicated) return Visit::kUnknownEntity;
+  if (anchored.empty() && !replicated) return Visit::kUnknownEntity;
 
   if (!as_start) cdm.targets.insert(Element::make(Replica{obj, self}));
 
   util::FlatSet<ObjectId> local_cont;
   std::vector<rm::StubKey> stub_cont;
 
-  for (const rm::ScionKey& key : scion_keys) {
-    const ScionSummary& ss = s.scions.at(key);
+  for (const auto& [key, scion] : anchored) {
+    const ScionSummary& ss = *scion;
     if (ss.local_reach) return Visit::kAbortLive;
     const RefLink link{key.src_process, obj, self};
     if (!as_start) {
       if (!cdm.observe({link, ss.ic})) return Visit::kAbortRace;
       cdm.ref_deps.insert(Element::make(link));
       for (const rm::ScionKey& up_key : ss.scions_to) {
-        const ScionSummary& up = s.scions.at(up_key);
+        const ScionSummary& up = s.scion(up_key);
         const RefLink up_link{up_key.src_process, up_key.anchor, self};
         if (!cdm.observe({up_link, up.ic})) return Visit::kAbortRace;
         cdm.ref_deps.insert(Element::make(up_link));
@@ -157,7 +157,7 @@ BaselineDetector::Visit BaselineDetector::examine(Cdm& cdm, ObjectId obj,
 
     if (!as_start) {
       for (const rm::ScionKey& key : rs.scions_to) {
-        const ScionSummary& ss = s.scions.at(key);
+        const ScionSummary& ss = s.scion(key);
         const RefLink link{key.src_process, key.anchor, self};
         if (!cdm.observe({link, ss.ic})) return Visit::kAbortRace;
         cdm.ref_deps.insert(Element::make(link));
@@ -180,8 +180,8 @@ BaselineDetector::Visit BaselineDetector::examine(Cdm& cdm, ObjectId obj,
       live = it->second.local_reach;
     }
     if (!live) {
-      for (const rm::ScionKey& key : s.scions_anchored_at(next)) {
-        if (s.scions.at(key).local_reach) live = true;
+      for (const AnchoredScion& e : s.scions_anchored_at(next)) {
+        if (e.summary->local_reach) live = true;
       }
     }
     if (live) continue;
@@ -200,7 +200,7 @@ BaselineDetector::Visit BaselineDetector::examine(Cdm& cdm, ObjectId obj,
     if (ts.local_reach) continue;  // live target: dependency stays open
     if (!cdm.observe({link, ts.ic})) return Visit::kAbortRace;
     for (const rm::ScionKey& sk : ts.scions_to) {
-      const ScionSummary& ss = s.scions.at(sk);
+      const ScionSummary& ss = s.scion(sk);
       const RefLink up{sk.src_process, sk.anchor, self};
       if (!cdm.observe({up, ss.ic})) return Visit::kAbortRace;
       cdm.ref_deps.insert(Element::make(up));

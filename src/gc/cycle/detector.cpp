@@ -173,8 +173,8 @@ bool CycleDetector::locally_live(ObjectId obj) const {
   if (auto it = s.replicas.find(obj); it != s.replicas.end()) {
     if (it->second.local_reach) return true;
   }
-  for (const rm::ScionKey& key : s.scions_anchored_at(obj)) {
-    if (s.scions.at(key).local_reach) return true;
+  for (const AnchoredScion& e : s.scions_anchored_at(obj)) {
+    if (e.summary->local_reach) return true;
   }
   return false;
 }
@@ -185,11 +185,11 @@ CycleDetector::Visit CycleDetector::examine(Cdm& cdm, ObjectId obj,
   const ProcessId self = process_.id();
   const ProcessSummary& s = *summary_;
 
-  const auto scion_keys = s.scions_anchored_at(obj);
+  const auto anchored = s.scions_anchored_at(obj);
   const auto rep_it = s.replicas.find(obj);
   const bool replicated = rep_it != s.replicas.end();
 
-  if (scion_keys.empty() && !replicated) {
+  if (anchored.empty() && !replicated) {
     // Safety rule 1: the snapshot does not know the entity the CDM is
     // about (older than the reference/propagation that created it).
     return Visit::kUnknownEntity;
@@ -207,8 +207,8 @@ CycleDetector::Visit CycleDetector::examine(Cdm& cdm, ObjectId obj,
   util::FlatSet<ObjectId> ancestor_cont;
   std::vector<rm::StubKey> stub_cont;
 
-  for (const rm::ScionKey& key : scion_keys) {
-    const ScionSummary& ss = s.scions.at(key);
+  for (const auto& [key, scion] : anchored) {
+    const ScionSummary& ss = *scion;
     const RefLink link{key.src_process, obj, self};
     if (!as_start) {
       if (!cdm.observe({link, ss.ic})) return Visit::kAbortRace;
@@ -217,7 +217,7 @@ CycleDetector::Visit CycleDetector::examine(Cdm& cdm, ObjectId obj,
       // Anchor-level incoming context: local scions / replicated objects
       // that lead to this anchor must be proven dead too.
       for (const rm::ScionKey& up_key : ss.scions_to) {
-        const ScionSummary& up = s.scions.at(up_key);
+        const ScionSummary& up = s.scion(up_key);
         const RefLink up_link{up_key.src_process, up_key.anchor, self};
         if (!cdm.observe({up_link, up.ic})) return Visit::kAbortRace;
         cdm.require(me, Element::make(up_link), /*prop=*/false);
@@ -263,7 +263,7 @@ CycleDetector::Visit CycleDetector::examine(Cdm& cdm, ObjectId obj,
       // Incoming local context: scions and replicated objects leading to
       // this replica must be proven dead too.
       for (const rm::ScionKey& key : rs.scions_to) {
-        const ScionSummary& ss = s.scions.at(key);
+        const ScionSummary& ss = s.scion(key);
         const RefLink link{key.src_process, key.anchor, self};
         if (!cdm.observe({link, ss.ic})) return Visit::kAbortRace;
         cdm.require(me, Element::make(link), /*prop=*/false);
@@ -386,7 +386,7 @@ CycleDetector::Visit CycleDetector::examine_stub(
   // Crossing the link resolves the dependency the remote scion raises —
   // but only after the local context of the stub is accounted for:
   for (const rm::ScionKey& sk : ts.scions_to) {
-    const ScionSummary& ss = s.scions.at(sk);
+    const ScionSummary& ss = s.scion(sk);
     const RefLink up{sk.src_process, sk.anchor, self};
     if (!cdm.observe({up, ss.ic})) return Visit::kAbortRace;
     cdm.require(link_el, Element::make(up), /*prop=*/false);

@@ -1,7 +1,6 @@
 #include "gc/cycle/heuristics.h"
 
 #include <algorithm>
-#include <optional>
 
 #include "gc/cycle/summary.h"
 
@@ -15,17 +14,10 @@ constexpr std::uint32_t sat_inc(std::uint32_t d) noexcept {
 }  // namespace
 
 std::map<ProcessId, std::map<ObjectId, std::uint32_t>>
-DistanceHeuristic::after_collection(const rm::Process& process,
-                                    const LgcResult& result,
-                                    const ProcessSummary* precomputed) {
+DistanceHeuristic::after_collection(const LgcResult& result,
+                                    const ProcessSummary& s) {
   // The stub side needs each stub's incoming context; summarization
-  // already computes exactly that relation.  The cluster summarizes all
-  // processes concurrently after the sweep and hands the result in here;
-  // standalone callers fall back to summarizing inline.
-  std::optional<ProcessSummary> own;
-  if (precomputed == nullptr) own.emplace(summarize(process));
-  const ProcessSummary& s = precomputed != nullptr ? *precomputed : *own;
-
+  // already computes exactly that relation.
   std::map<ProcessId, std::map<ObjectId, std::uint32_t>> announce;
   for (const auto& [key, stub] : s.stubs) {
     std::uint32_t d = kInfiniteDistance;

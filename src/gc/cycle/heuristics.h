@@ -27,7 +27,10 @@
 //
 // Both deliver the same interface: feed per-collection observations, ask
 // for suspects.  Cluster::run_full_gc can use either instead of the
-// exhaustive sweep (core::CandidatePolicy).
+// exhaustive sweep (core::CandidatePolicy).  The cluster feeds the
+// DistanceHeuristic (and so attaches distances to NewSetStubs) only under
+// CandidatePolicy::kDistance — its post-sweep summary is the costly part;
+// the SuspicionAgeTracker reads only the LGC result and is always fed.
 #pragma once
 
 #include <cstdint>
@@ -61,13 +64,11 @@ class DistanceHeuristic {
   /// Digests one local collection: refreshes the per-stub estimates from
   /// the reachability classification and ages prop-only replicas.
   /// Returns the per-anchor estimates to enclose in the next NewSetStubs
-  /// round (anchor -> distance), keyed by peer process.
-  /// `precomputed` is a post-sweep summary of `process` to use instead of
-  /// summarizing here; the cluster passes one computed during its parallel
-  /// phase so this (serial) digest stays cheap.
+  /// round (anchor -> distance), keyed by peer process.  `summary` is a
+  /// post-sweep summary of the collected process; the cluster computes it
+  /// in its parallel phase so this (serial) digest stays cheap.
   [[nodiscard]] std::map<ProcessId, std::map<ObjectId, std::uint32_t>>
-  after_collection(const rm::Process& process, const LgcResult& result,
-                   const ProcessSummary* precomputed = nullptr);
+  after_collection(const LgcResult& result, const ProcessSummary& summary);
 
   /// Applies the estimates a peer announced for our scions.
   void apply_remote_estimates(

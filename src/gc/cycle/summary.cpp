@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -11,26 +12,36 @@
 namespace rgc::gc {
 
 void ProcessSummary::rebuild_anchor_index() const {
-  anchor_index.clear();
-  anchor_index.reserve(scions.size());
-  for (const auto& [key, summary] : scions) anchor_index.push_back(key);
-  std::sort(anchor_index.begin(), anchor_index.end(),
-            [](const rm::ScionKey& a, const rm::ScionKey& b) {
-              return a.anchor != b.anchor ? a.anchor < b.anchor
-                                          : a.src_process < b.src_process;
+  auto& entries = anchor_index.entries;
+  entries.clear();
+  entries.reserve(scions.size());
+  for (const auto& [key, summary] : scions) entries.push_back({key, &summary});
+  std::sort(entries.begin(), entries.end(),
+            [](const AnchoredScion& a, const AnchoredScion& b) {
+              return a.key.anchor != b.key.anchor
+                         ? a.key.anchor < b.key.anchor
+                         : a.key.src_process < b.key.src_process;
             });
 }
 
-std::span<const rm::ScionKey> ProcessSummary::scions_anchored_at(
+std::span<const AnchoredScion> ProcessSummary::scions_anchored_at(
     ObjectId obj) const {
-  if (anchor_index.size() != scions.size()) rebuild_anchor_index();
+  if (anchor_index.entries.size() != scions.size()) rebuild_anchor_index();
+  const auto& entries = anchor_index.entries;
   auto lo = std::lower_bound(
-      anchor_index.begin(), anchor_index.end(), obj,
-      [](const rm::ScionKey& k, ObjectId o) { return k.anchor < o; });
+      entries.begin(), entries.end(), obj,
+      [](const AnchoredScion& e, ObjectId o) { return e.key.anchor < o; });
   auto hi = std::upper_bound(
-      lo, anchor_index.end(), obj,
-      [](ObjectId o, const rm::ScionKey& k) { return o < k.anchor; });
+      lo, entries.end(), obj,
+      [](ObjectId o, const AnchoredScion& e) { return o < e.key.anchor; });
   return {lo, hi};
+}
+
+const ScionSummary& ProcessSummary::scion(const rm::ScionKey& key) const {
+  for (const AnchoredScion& e : scions_anchored_at(key.anchor)) {
+    if (e.key.src_process == key.src_process) return *e.summary;
+  }
+  throw std::out_of_range("ProcessSummary::scion: unknown scion");
 }
 
 namespace {
@@ -299,8 +310,8 @@ ProcessSummary summarize(const rm::Process& process) {
 
   // ---- Seeds: in-heap scion anchors and replicated objects --------------
   sc.seed_objs.clear();
-  for (const auto& key : s.anchor_index) {
-    if (process.has_replica(key.anchor)) sc.seed_objs.push_back(key.anchor);
+  for (const AnchoredScion& e : s.anchor_index.entries) {
+    if (process.has_replica(e.key.anchor)) sc.seed_objs.push_back(e.key.anchor);
   }
   for (const auto& [obj, r] : s.replicas) {
     if (process.has_replica(obj)) sc.seed_objs.push_back(obj);
@@ -321,8 +332,8 @@ ProcessSummary summarize(const rm::Process& process) {
   for (std::size_t i = 0; i < seed_count; ++i) {
     sc.seed_nodes[i] = heap.slot_of(sc.seed_objs[i]);
   }
-  for (const auto& key : s.anchor_index) {
-    const std::uint32_t i = seed_pos_of(key.anchor);
+  for (const AnchoredScion& e : s.anchor_index.entries) {
+    const std::uint32_t i = seed_pos_of(e.key.anchor);
     if (i != kNoPos) sc.seed_flags[i] |= kSeedAnchor;
   }
   for (const auto& [obj, r] : s.replicas) {
@@ -468,8 +479,8 @@ ProcessSummary summarize(const rm::Process& process) {
   }
 
   auto append_anchor_keys = [&](std::uint32_t b) {
-    for (const rm::ScionKey& k : s.scions_anchored_at(sc.seed_objs[b])) {
-      sc.tmp_scion_keys.push_back(k);
+    for (const AnchoredScion& e : s.scions_anchored_at(sc.seed_objs[b])) {
+      sc.tmp_scion_keys.push_back(e.key);
     }
   };
   auto take_sorted_keys = [&]() {
@@ -526,8 +537,8 @@ ProcessSummary summarize(const rm::Process& process) {
           sc.tmp_objs.push_back(sc.seed_objs[b]);
         }
       });
-      for (const rm::ScionKey& k : s.scions_anchored_at(key.anchor)) {
-        if (k != key) sc.tmp_scion_keys.push_back(k);
+      for (const AnchoredScion& e : s.scions_anchored_at(key.anchor)) {
+        if (e.key != key) sc.tmp_scion_keys.push_back(e.key);
       }
       t.scions_to = take_sorted_keys();
     }
@@ -551,8 +562,8 @@ ProcessSummary summarize(const rm::Process& process) {
                    });
       if (std::binary_search(sc.remote_anchors.begin(), sc.remote_anchors.end(),
                              key.target)) {
-        for (const rm::ScionKey& k : s.scions_anchored_at(key.target)) {
-          sc.tmp_scion_keys.push_back(k);
+        for (const AnchoredScion& e : s.scions_anchored_at(key.target)) {
+          sc.tmp_scion_keys.push_back(e.key);
         }
       }
       t.scions_to = take_sorted_keys();

@@ -105,6 +105,30 @@ struct ReplicaSummary {
                          const ReplicaSummary&) = default;
 };
 
+/// One anchor-index entry: a scion's key and its summary (a pointer into
+/// the owning ProcessSummary::scions).
+struct AnchoredScion {
+  rm::ScionKey key;
+  const ScionSummary* summary{nullptr};
+};
+
+/// The anchor index's storage.  Its entries point into one summary's
+/// `scions`, so a copy must not share them: copying yields an empty index
+/// (rebuilt lazily against the copy's own map), while moving keeps it —
+/// a moved std::map keeps its nodes.
+struct AnchorIndex {
+  std::vector<AnchoredScion> entries;
+
+  AnchorIndex() = default;
+  AnchorIndex(const AnchorIndex&) noexcept {}
+  AnchorIndex& operator=(const AnchorIndex&) noexcept {
+    entries.clear();
+    return *this;
+  }
+  AnchorIndex(AnchorIndex&&) noexcept = default;
+  AnchorIndex& operator=(AnchorIndex&&) noexcept = default;
+};
+
 struct ProcessSummary {
   ProcessId process{kNoProcess};
   /// Simulation step the snapshot was taken at.
@@ -120,21 +144,28 @@ struct ProcessSummary {
   /// with at least one inProp or outProp entry).
   std::map<ObjectId, ReplicaSummary> replicas;
 
-  /// Anchor index: every scion key, sorted by (anchor, src_process) — the
-  /// opposite of ScionKey's natural order — so anchor-filtered lookups on
-  /// the detection hot path are a binary search instead of a full-table
-  /// scan.  Derived from `scions` (rebuilt lazily when stale), excluded
-  /// from comparison and serialization.
-  mutable std::vector<rm::ScionKey> anchor_index;
+  /// Anchor index: every scion key with its summary, sorted by (anchor,
+  /// src_process) — the opposite of ScionKey's natural order — so
+  /// anchor-filtered lookups on the detection hot path are a binary search
+  /// instead of a full-table scan, and hand back the ScionSummary without a
+  /// second walk of `scions`.  Derived from `scions` (rebuilt lazily when
+  /// stale or copied), excluded from comparison and serialization.
+  mutable AnchorIndex anchor_index;
 
-  /// All scions anchored at `obj`; the returned span points into
-  /// `anchor_index` and is invalidated by any mutation of the summary.
-  [[nodiscard]] std::span<const rm::ScionKey> scions_anchored_at(
+  /// All scions anchored at `obj`, each with its summary; the returned
+  /// span points into `anchor_index` and is invalidated by any mutation of
+  /// the summary.
+  [[nodiscard]] std::span<const AnchoredScion> scions_anchored_at(
       ObjectId obj) const;
+
+  /// The summary of scion `key`, found through the anchor index; throws
+  /// std::out_of_range for an unknown key, like scions.at(key).
+  [[nodiscard]] const ScionSummary& scion(const rm::ScionKey& key) const;
 
   /// Rebuilds `anchor_index` from `scions`.  scions_anchored_at re-indexes
   /// lazily when the sizes diverge; call this explicitly after in-place
-  /// edits that keep the scion count unchanged.
+  /// edits of `scions` that keep the scion count unchanged (the index
+  /// points into the map's nodes).
   void rebuild_anchor_index() const;
 
   friend bool operator==(const ProcessSummary& a, const ProcessSummary& b) {

@@ -31,6 +31,28 @@ void mark_stub_chain(const rm::Process& process, rm::MarkScratch& scratch,
       target, [&](const rm::Stub& stub) { mark_stub(stub, scratch, bit); });
 }
 
+/// Per-collection bookkeeping shared by apply() and reuse(): counters,
+/// histograms, the collection span's arguments and the recorder's sweep.
+void record_collection(rm::Process& process, const LgcResult& result,
+                       util::SpanGuard& span) {
+  process.counters().lgc_collections.inc();
+  process.counters().lgc_reclaimed.inc(result.reclaimed.size());
+  process.metrics().histogram("lgc.reclaimed_per_collection")
+      .record(result.reclaimed.size());
+  process.metrics().histogram("lgc.traced_per_collection").record(result.traced);
+  span.arg("reclaimed", result.reclaimed.size());
+  span.arg("traced", result.traced);
+  span.arg("live_stubs", result.live_stubs.size());
+  // Sweeps run in the serial phase, so the recorder's global event order
+  // (and hence the .rgcrec bytes) is thread-count independent.
+  if (obs::FlightRecorder* rec = process.recorder()) {
+    rec->sweep(process.id(), result.reclaimed.size(), result.traced);
+  }
+  RGC_DEBUG("lgc: ", to_string(process.id()), " reclaimed ",
+            result.reclaimed.size(), " objects, ", result.live_stubs.size(),
+            " live stubs");
+}
+
 }  // namespace
 
 void Lgc::seed(const rm::Process& process, ObjectId id, std::uint8_t bit) {
@@ -176,23 +198,14 @@ LgcResult Lgc::apply(rm::Process& process, const LgcMark& marked,
   if (!result.reclaimed.empty() || result.resurrected != 0) {
     process.note_mutation();
   }
-  process.counters().lgc_collections.inc();
-  process.counters().lgc_reclaimed.inc(result.reclaimed.size());
-  process.metrics().histogram("lgc.reclaimed_per_collection")
-      .record(result.reclaimed.size());
-  process.metrics().histogram("lgc.traced_per_collection").record(result.traced);
-  span.arg("reclaimed", result.reclaimed.size());
-  span.arg("traced", result.traced);
-  span.arg("live_stubs", result.live_stubs.size());
-  // Sweeps run in the serial phase, so the recorder's global event order
-  // (and hence the .rgcrec bytes) is thread-count independent.
-  if (obs::FlightRecorder* rec = process.recorder()) {
-    rec->sweep(process.id(), result.reclaimed.size(), result.traced);
-  }
-  RGC_DEBUG("lgc: ", to_string(process.id()), " reclaimed ",
-            result.reclaimed.size(), " objects, ", result.live_stubs.size(),
-            " live stubs");
+  record_collection(process, result, span);
   return result;
+}
+
+void Lgc::reuse(rm::Process& process, const LgcResult& kept) {
+  util::SpanGuard span{"lgc.collect", process.id()};
+  process.counters().lgc_marks_reused.inc();
+  record_collection(process, kept, span);
 }
 
 LgcResult Lgc::collect(rm::Process& process, const LgcConfig& config) {

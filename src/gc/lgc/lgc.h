@@ -26,6 +26,8 @@
 //    tracing.  Mutates the process and touches shared sinks (Trace,
 //    Finalizer), so the cluster runs it serially in pid order.
 // collect() == mark() + apply() and is what single-process callers use.
+// reuse() stands in for both when the caller kept the previous result of a
+// process whose mutation epoch has not moved since (core::Cluster does).
 #pragma once
 
 #include <cstdint>
@@ -101,6 +103,15 @@ class Lgc {
   /// Must run on the thread that owns the simulation (serial).
   static LgcResult apply(rm::Process& process, const LgcMark& marked,
                          const LgcConfig& config = {});
+
+  /// Records a collection that skipped mark() and apply() and reuses
+  /// `kept` instead: the caller vouches that the process's mutation epoch
+  /// has not moved since the apply() that produced `kept`, so a fresh
+  /// trace would classify exactly the same and sweep nothing.  `kept` must
+  /// carry no reclaimed or resurrected objects and traced = 0.  Counts the
+  /// collection (lgc.collections, lgc.marks_reused) and records its span
+  /// and sweep event like apply() does.  Serial, like apply().
+  static void reuse(rm::Process& process, const LgcResult& kept);
 
   // ---- Tracing primitives (shared with snapshot summarization) ---------
   //

@@ -21,7 +21,8 @@ ProcessCounters::ProcessCounters(util::Metrics& metrics)
       inprops_created(metrics.counter("rm.inprops_created")),
       outprops_created(metrics.counter("rm.outprops_created")),
       lgc_collections(metrics.counter("lgc.collections")),
-      lgc_reclaimed(metrics.counter("lgc.reclaimed")) {}
+      lgc_reclaimed(metrics.counter("lgc.reclaimed")),
+      lgc_marks_reused(metrics.counter("lgc.marks_reused")) {}
 
 Process::Process(ProcessId id, net::Network& network)
     : id_(id), network_(&network) {}

@@ -53,6 +53,7 @@ struct ProcessCounters {
   util::Counter outprops_created;
   util::Counter lgc_collections;
   util::Counter lgc_reclaimed;
+  util::Counter lgc_marks_reused;
 
   explicit ProcessCounters(util::Metrics& metrics);
 };

@@ -11,6 +11,7 @@
 #include "core/cluster.h"
 #include "gc/cycle/snapshot_io.h"
 #include "gc/cycle/summary.h"
+#include "random_history.h"
 #include "workload/figures.h"
 #include "workload/mesh.h"
 
@@ -19,6 +20,7 @@ namespace {
 
 using core::Cluster;
 using core::ClusterConfig;
+using test::drive_random_history;
 
 /// Both implementations, every process, structural and byte equality.
 void expect_identical_summaries(Cluster& cluster, const char* context) {
@@ -31,121 +33,6 @@ void expect_identical_summaries(Cluster& cluster, const char* context) {
     ASSERT_EQ(encode_summary(fast), encode_summary(ref))
         << context << ": serialized bytes differ on " << to_string(pid);
   }
-}
-
-/// Random mutator/coherence history: every operation the model allows,
-/// drawn with guards so each pick is legal, interleaved with message
-/// delivery and collections.  The driver only tracks the object-id pool;
-/// legality is checked against live process state.
-void drive_random_history(Cluster& cluster, std::uint32_t seed,
-                          int operations) {
-  std::mt19937 rng{seed};
-  const std::vector<ProcessId> pids = cluster.process_ids();
-  std::vector<ObjectId> pool;
-
-  const auto pick_pid = [&] {
-    return pids[rng() % pids.size()];
-  };
-  // A uniformly random element of `xs`, or kNoObject when empty.
-  const auto pick = [&](const std::vector<ObjectId>& xs) {
-    return xs.empty() ? kNoObject : xs[rng() % xs.size()];
-  };
-  const auto local_objects = [&](ProcessId p) {
-    std::vector<ObjectId> out;
-    for (ObjectId obj : pool) {
-      if (cluster.process(p).heap().contains(obj)) out.push_back(obj);
-    }
-    return out;
-  };
-
-  for (int op = 0; op < operations; ++op) {
-    const ProcessId p = pick_pid();
-    const rm::Process& proc = cluster.process(p);
-    switch (rng() % 12) {
-      case 0:
-        pool.push_back(cluster.new_object(p));
-        break;
-      case 1: {  // root anything resolvable (replica or stubbed remote)
-        std::vector<ObjectId> known;
-        for (ObjectId obj : pool) {
-          if (proc.knows(obj)) known.push_back(obj);
-        }
-        if (const ObjectId obj = pick(known); obj != kNoObject) {
-          cluster.add_root(p, obj);
-        }
-        break;
-      }
-      case 2: {
-        const auto& roots = proc.heap().roots();
-        if (!roots.empty()) {
-          auto it = roots.begin();
-          std::advance(it, rng() % roots.size());
-          cluster.remove_root(p, *it);
-        }
-        break;
-      }
-      case 3: {  // local or stub-resolved reference assignment
-        const ObjectId from = pick(local_objects(p));
-        if (from == kNoObject) break;
-        std::vector<ObjectId> known;
-        for (ObjectId obj : pool) {
-          if (proc.knows(obj)) known.push_back(obj);
-        }
-        if (const ObjectId to = pick(known); to != kNoObject) {
-          cluster.add_ref(p, from, to);
-        }
-        break;
-      }
-      case 4: {
-        const ObjectId from = pick(local_objects(p));
-        if (from == kNoObject) break;
-        const rm::Object* obj = proc.heap().find(from);
-        if (obj == nullptr || obj->refs.empty()) break;
-        cluster.remove_ref(p, from, obj->refs[rng() % obj->refs.size()].target);
-        break;
-      }
-      case 5: {  // replicate onto a random other process
-        if (pids.size() < 2) break;
-        const ObjectId obj = pick(local_objects(p));
-        if (obj == kNoObject) break;
-        ProcessId to = pick_pid();
-        if (to == p) break;
-        cluster.propagate(obj, p, to);
-        break;
-      }
-      case 6: {  // courier-built remote reference
-        if (pids.size() < 2) break;
-        const ProcessId q = pick_pid();
-        if (q == p) break;
-        const ObjectId from = pick(local_objects(p));
-        const ObjectId to = pick(local_objects(q));
-        if (from == kNoObject || to == kNoObject) break;
-        pool.push_back(workload::make_remote_ref(cluster, p, from, q, to));
-        break;
-      }
-      case 7: {  // invoke through a random stub (IC/SSP traffic)
-        std::vector<rm::StubKey> keys;
-        for (const auto& [key, stub] : proc.stubs()) keys.push_back(key);
-        if (!keys.empty()) {
-          cluster.invoke(p, keys[rng() % keys.size()].target);
-        }
-        break;
-      }
-      case 8:
-        cluster.step();
-        break;
-      case 9:
-        cluster.run_until_quiescent();
-        break;
-      case 10:
-        cluster.collect(p);
-        break;
-      default:
-        cluster.collect_all();
-        break;
-    }
-  }
-  cluster.run_until_quiescent();
 }
 
 TEST(SummaryDiff, RandomHistoriesAcrossSeeds) {
