@@ -590,6 +590,16 @@ Cluster::FullGcStats Cluster::run_full_gc(std::size_t max_rounds) {
     }
     stats.detections_started += started;
     run_until_quiescent();
+    // A round that reclaimed and proved nothing ends here, so its wave's
+    // parked tracks are the last chance for these snapshots: every
+    // detection of the wave failed, the suppressors included.  Resume
+    // them until one proves a cycle or none is left.  (A round with
+    // progress is followed by one with a fresh wave instead.)
+    if (reclaimed_this_round == 0) {
+      while (cycles_found_.size() == cycles_before && resume_parked() > 0) {
+        run_until_quiescent();
+      }
+    }
     cyclic.arg("round", stats.rounds);
     cyclic.arg("detections", started);
 
@@ -603,6 +613,16 @@ Cluster::FullGcStats Cluster::run_full_gc(std::size_t max_rounds) {
     if (reclaimed_this_round == 0 && new_cycles == 0 && !warming_up) break;
   }
   return stats;
+}
+
+std::size_t Cluster::resume_parked() {
+  std::size_t resumed = 0;
+  for (auto& [pid, node] : nodes_) {
+    if (!node.alive) continue;
+    util::ScopedProcess ctx{pid};
+    resumed += node.detector->resume_parked();
+  }
+  return resumed;
 }
 
 std::set<ObjectId> Cluster::suspects(ProcessId id) {
@@ -970,8 +990,15 @@ void Cluster::handle_cycle_found(ProcessId at, const gc::Cdm& cdm) {
     ledger_->cycle_proven(at, cdm, unlinked);
   }
   if (!config_.auto_cut) return;
-  auto cut = std::make_unique<gc::CutMsg>(gc::CycleDetector::make_cut(cdm));
-  net_.send(at, cdm.candidate.process, std::move(cut));
+  // Cut the whole proven set, not only the candidate's links: every link
+  // in it joins two entities the verdict already proved garbage.  The
+  // flat-matching baseline proves its whole target set.
+  gc::CycleDetector& detector = *nodes_.at(at).detector;
+  if (config_.mode == DetectorMode::kBaseline) {
+    detector.send_cuts(cdm, cdm.targets);
+  } else {
+    detector.send_cuts(cdm, cdm.required_closure());
+  }
 }
 
 }  // namespace rgc::core

@@ -323,7 +323,9 @@ class Cluster {
 
   /// Exhaustive multi-round GC driver: alternates acyclic rounds (LGC +
   /// ADGC + message quiescence) with detection sweeps over every suspect
-  /// until a full iteration reclaims nothing and proves no new cycle.
+  /// until a full iteration reclaims nothing and proves no new cycle.  In
+  /// such an iteration the tracks parked by wave suppression (see
+  /// gc::CycleDetector) are resumed before it ends.
   /// Suspects come from config.candidates; the default exhaustive policy
   /// is the completeness-oriented choice (the paper leaves heuristics out
   /// of scope).
@@ -422,6 +424,9 @@ class Cluster {
   /// net::Network::Sink), so handlers may consume its payload.
   void dispatch(ProcessId pid, const net::Envelope& env, net::MessagePtr msg);
   void handle_cycle_found(ProcessId at, const gc::Cdm& cdm);
+  /// gc::CycleDetector::resume_parked() on every live process, in pid
+  /// order; returns how many tracks resumed.
+  std::size_t resume_parked();
 
   /// (Re)creates the live half of a Node for `pid` (process + detectors +
   /// dispatch attachment) — shared by add_process and restart.

@@ -196,18 +196,30 @@ struct CdmMsg final : net::Message {
   }
 };
 
-/// Verdict: instructs the candidate's process to break the detected cycle
-/// by deleting the candidate's incoming dependencies recorded at detection
-/// time (§3.3: "it is safe to instruct the acyclic GC to delete the scion
-/// accounting for the remote reference").  Counter expectations ride along
-/// so a cut that raced a mutation is skipped, never misapplied.
+/// One propagation link a verdict severs, named at its child end: the
+/// inProp entry of `object` from `parent`, expected to still carry `uc`.
+struct PropCut {
+  ObjectId object{kNoObject};
+  ProcessId parent{kNoProcess};
+  std::uint64_t uc{0};
+
+  friend constexpr bool operator==(const PropCut&, const PropCut&) = default;
+};
+
+/// Verdict: instructs one process to break the proven cycle by deleting
+/// the incoming links it holds inside the proven set (§3.3: "it is safe to
+/// instruct the acyclic GC to delete the scion accounting for the remote
+/// reference").  A verdict sends one CutMsg per process that holds such a
+/// link (CycleDetector::make_cuts).  Counter expectations ride along so a
+/// cut that raced a mutation is skipped, never misapplied.
 struct CutMsg final : net::Message {
+  /// The detection's candidate (trace and ledger context only).
   ObjectId candidate{kNoObject};
   std::uint64_t detection_id{0};
-  /// Expected ICs of the candidate's scions at detection time.
+  /// Scions to delete here, with their expected ICs at detection time.
   std::vector<std::pair<rm::ScionKey, std::uint64_t>> scion_cuts;
-  /// Expected UCs of the candidate's inProp links at detection time.
-  std::vector<std::pair<ProcessId, std::uint64_t>> prop_cuts;
+  /// inProp links to sever here, with their expected UCs.
+  std::vector<PropCut> prop_cuts;
 
   [[nodiscard]] const char* kind() const noexcept override { return "Cut"; }
   [[nodiscard]] bool reliable() const noexcept override { return true; }

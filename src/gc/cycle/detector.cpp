@@ -11,6 +11,16 @@
 namespace rgc::gc {
 namespace {
 
+/// Wave-suppression priority: a SplitMix64 mix of the detection id and its
+/// start step, so the lowest-priority detection of a wave is a different one
+/// from wave to wave.
+std::uint64_t wave_priority(const Cdm& cdm) {
+  std::uint64_t z = cdm.detection_id ^ (cdm.started_step * 0x9e3779b97f4a7c15ULL);
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
+}
+
 std::vector<util::TraceArg> cdm_args(const Cdm& cdm) {
   return {util::TraceArg::num("detection", cdm.detection_id),
           util::TraceArg::str("candidate", to_string(cdm.candidate)),
@@ -28,6 +38,9 @@ CycleDetector::CycleDetector(rm::Process& process, DetectorConfig config)
   counters_.cdms_received = m.counter("cycle.cdms_received");
   counters_.drops_no_snapshot = m.counter("cycle.drops_no_snapshot");
   counters_.drops_subsumed = m.counter("cycle.drops_subsumed");
+  counters_.drops_suppressed = m.counter("cycle.drops_suppressed");
+  counters_.suppressed_resumed = m.counter("cycle.suppressed_resumed");
+  counters_.cuts_empty = m.counter("cycle.cuts_empty");
   counters_.cdms_sent = m.counter("cycle.cdms_sent");
   counters_.forwards = m.counter("cycle.forwards");
   counters_.local_forks = m.counter("cycle.local_forks");
@@ -51,6 +64,8 @@ void CycleDetector::take_snapshot() {
 void CycleDetector::install_snapshot(ProcessSummary summary) {
   summary_ = std::move(summary);
   seen_entries_.clear();
+  wave_marks_.clear();
+  parked_.clear();
   counters_.snapshots.inc();
 }
 
@@ -62,6 +77,8 @@ void CycleDetector::adopt_snapshot(ProcessSummary summary) {
   }
   summary_ = std::move(summary);
   seen_entries_.clear();
+  wave_marks_.clear();
+  parked_.clear();
   process_.metrics().add("cycle.snapshots_adopted");
 }
 
@@ -78,6 +95,27 @@ bool CycleDetector::subsumed(std::uint64_t detection, ObjectId entry,
   });
   prior.push_back(targets);
   return false;
+}
+
+CycleDetector::Visit CycleDetector::admit(const Cdm& cdm, ObjectId entry) const {
+  const auto it = wave_marks_.find(entry);
+  if (it == wave_marks_.end() || it->second.wave != cdm.started_step) {
+    return Visit::kOk;  // detections of different waves never suppress
+  }
+  return wave_priority(cdm) > it->second.priority ? Visit::kSuppressed
+                                                  : Visit::kOk;
+}
+
+void CycleDetector::mark_examined(const Cdm& cdm, ObjectId obj) {
+  const std::uint64_t priority = wave_priority(cdm);
+  auto [it, fresh] = wave_marks_.try_emplace(obj, WaveMark{cdm.started_step, priority});
+  if (fresh) return;
+  WaveMark& mark = it->second;
+  if (cdm.started_step > mark.wave) {
+    mark = WaveMark{cdm.started_step, priority};
+  } else if (cdm.started_step == mark.wave) {
+    mark.priority = std::min(mark.priority, priority);
+  }
 }
 
 std::optional<std::uint64_t> CycleDetector::start_detection(ObjectId candidate) {
@@ -133,34 +171,60 @@ void CycleDetector::on_cdm(const net::Envelope& env, CdmMsg&& msg) {
     return;
   }
   (void)env;
-  if (subsumed(msg.cdm.detection_id, msg.entry, msg.cdm.targets)) {
+  // This handler is the delivered message's last reader: take the CDM
+  // over instead of copying it.
+  Arrival arrival{msg.entry, msg.via, msg.forwarded, std::move(msg.cdm)};
+  if (admit(arrival.cdm, arrival.entry) == Visit::kSuppressed) {
+    counters_.drops_suppressed.inc();
+    if (trace.enabled()) {
+      trace.instant("cdm.park", process_.id(), arrival.cdm.trace_id, false,
+                    {util::TraceArg::str("reason", "suppressed")});
+    }
+    parked_.push_back(std::move(arrival));
+    return;
+  }
+  deliver(std::move(arrival));
+}
+
+std::size_t CycleDetector::resume_parked() {
+  const util::ScopedTimerUs profile{profile_us_};
+  std::vector<Arrival> parked = std::move(parked_);
+  parked_.clear();
+  for (Arrival& arrival : parked) {
+    counters_.suppressed_resumed.inc();
+    deliver(std::move(arrival));
+  }
+  return parked.size();
+}
+
+void CycleDetector::deliver(Arrival arrival) {
+  auto& trace = util::Trace::instance();
+  if (subsumed(arrival.cdm.detection_id, arrival.entry, arrival.cdm.targets)) {
     counters_.drops_subsumed.inc();
     if (trace.enabled()) {
-      trace.instant("cdm.drop", process_.id(), msg.cdm.trace_id, false,
+      trace.instant("cdm.drop", process_.id(), arrival.cdm.trace_id, false,
                     {util::TraceArg::str("reason", "subsumed")});
     }
     return;
   }
   RGC_DEBUG("cycle: ", to_string(process_.id()), " <- CDM",
-            msg.forwarded ? " (forwarded)" : "", " entry ",
-            to_string(msg.entry),
-            msg.via == EntryVia::kProp ? " via prop " : " via ref ",
-            msg.cdm.to_string());
-  // This handler is the delivered message's last reader: take the CDM
-  // over instead of copying it.
-  Cdm cdm = std::move(msg.cdm);
+            arrival.forwarded ? " (forwarded)" : "", " entry ",
+            to_string(arrival.entry),
+            arrival.via == EntryVia::kProp ? " via prop " : " via ref ",
+            arrival.cdm.to_string());
+  Cdm& cdm = arrival.cdm;
   ++cdm.hops;
   if (trace.enabled()) {
     auto args = cdm_args(cdm);
-    args.push_back(util::TraceArg::str("entry", to_string(msg.entry)));
+    args.push_back(util::TraceArg::str("entry", to_string(arrival.entry)));
     args.push_back(util::TraceArg::str(
-        "via", msg.via == EntryVia::kProp ? "prop" : "ref"));
+        "via", arrival.via == EntryVia::kProp ? "prop" : "ref"));
     // Parent: the sender's event, still in trace_id until reassigned here.
     cdm.trace_id = trace.instant("cdm.recv", process_.id(), cdm.trace_id,
                                  /*with_id=*/true, std::move(args));
   }
   std::vector<rm::StubKey> remote_out;
-  const Visit v = examine(cdm, msg.entry, /*as_start=*/false, remote_out);
+  const Visit v = examine(cdm, arrival.entry, /*as_start=*/false, remote_out);
   if (v != Visit::kOk) {
     record_abort(v, cdm.trace_id);
     return;
@@ -198,6 +262,7 @@ CycleDetector::Visit CycleDetector::examine(Cdm& cdm, ObjectId obj,
   // Liveness gate before any CDM mutation, so callers may treat an abort
   // as "not examined" (nothing half-recorded).
   if (locally_live(obj)) return Visit::kAbortLive;
+  mark_examined(cdm, obj);
 
   if (!as_start) {
     cdm.targets.insert(Element::make(Replica{obj, self}));
@@ -556,36 +621,57 @@ void CycleDetector::conclude(Cdm cdm, const std::vector<rm::StubKey>& remote_out
             }()));
 }
 
-CutMsg CycleDetector::make_cut(const Cdm& cdm) {
-  CutMsg cut;
-  cut.candidate = cdm.candidate.object;
-  cut.detection_id = cdm.detection_id;
+std::map<ProcessId, CutMsg> CycleDetector::make_cuts(
+    const Cdm& cdm, const util::FlatSet<Element>& proven) {
+  const auto in_proven = [&proven](ObjectId object, ProcessId process) {
+    return proven.contains(Element::make(Replica{object, process}));
+  };
+  std::map<ProcessId, CutMsg> cuts;
+  const auto cut_at = [&](ProcessId pid) -> CutMsg& {
+    auto [it, fresh] = cuts.try_emplace(pid);
+    if (fresh) {
+      it->second.candidate = cdm.candidate.object;
+      it->second.detection_id = cdm.detection_id;
+    }
+    return it->second;
+  };
+  // Observations are sorted by link, and a link observed at both of its
+  // ends (with, by construction of a completed detection, equal counters)
+  // repeats adjacently — comparing with the last entry dedupes.
   for (const Observation& obs : cdm.observations) {
-    // The same link is legitimately observed at both of its ends (with, by
-    // construction of a completed detection, equal counters) — dedupe.
     if (const auto* ref = std::get_if<RefLink>(&obs.link)) {
-      if (ref->target == cdm.candidate.object &&
-          ref->target_process == cdm.candidate.process) {
-        const std::pair<rm::ScionKey, std::uint64_t> entry{
-            rm::ScionKey{ref->holder, ref->target}, obs.counter};
-        if (std::find(cut.scion_cuts.begin(), cut.scion_cuts.end(), entry) ==
-            cut.scion_cuts.end()) {
-          cut.scion_cuts.push_back(entry);
-        }
-      }
+      // A proven link's holder side is garbage, whatever its anchor is (a
+      // local, unreplicated anchor is often only the path into the proven
+      // set and was never examined itself).
+      if (!proven.contains(Element::make(*ref))) continue;
+      auto& scions = cut_at(ref->target_process).scion_cuts;
+      const std::pair<rm::ScionKey, std::uint64_t> entry{
+          rm::ScionKey{ref->holder, ref->target}, obs.counter};
+      if (scions.empty() || scions.back() != entry) scions.push_back(entry);
     } else if (const auto* prop = std::get_if<PropLink>(&obs.link)) {
-      if (prop->object == cdm.candidate.object &&
-          prop->child == cdm.candidate.process) {
-        const std::pair<ProcessId, std::uint64_t> entry{prop->parent,
-                                                        obs.counter};
-        if (std::find(cut.prop_cuts.begin(), cut.prop_cuts.end(), entry) ==
-            cut.prop_cuts.end()) {
-          cut.prop_cuts.push_back(entry);
-        }
+      if (!in_proven(prop->object, prop->child) ||
+          !in_proven(prop->object, prop->parent)) {
+        continue;
       }
+      auto& props = cut_at(prop->child).prop_cuts;
+      const PropCut entry{prop->object, prop->parent, obs.counter};
+      if (props.empty() || props.back() != entry) props.push_back(entry);
     }
   }
-  return cut;
+  return cuts;
+}
+
+void CycleDetector::send_cuts(const Cdm& cdm,
+                              const util::FlatSet<Element>& proven) {
+  std::map<ProcessId, CutMsg> cuts = make_cuts(cdm, proven);
+  if (cuts.empty()) {
+    counters_.cuts_empty.inc();
+    return;
+  }
+  for (auto& [pid, cut] : cuts) {
+    process_.network().send(process_.id(), pid,
+                            std::make_unique<CutMsg>(std::move(cut)));
+  }
 }
 
 void CycleDetector::on_cut(const net::Envelope& env, const CutMsg& msg) {
@@ -614,10 +700,10 @@ void CycleDetector::on_cut(const net::Envelope& env, const CutMsg& msg) {
     process_.metrics().add("cycle.scions_cut");
     ++scions_cut;
   }
-  for (const auto& [parent, expected_uc] : msg.prop_cuts) {
-    rm::InProp* e = process_.find_in_prop(msg.candidate, parent);
+  for (const PropCut& pc : msg.prop_cuts) {
+    rm::InProp* e = process_.find_in_prop(pc.object, pc.parent);
     if (e == nullptr) continue;
-    if (e->uc != expected_uc) {
+    if (e->uc != pc.uc) {
       process_.metrics().add("cycle.cuts_stale");
       ++stale;
       continue;
@@ -625,15 +711,15 @@ void CycleDetector::on_cut(const net::Envelope& env, const CutMsg& msg) {
     auto& ins = process_.in_props();
     ins.erase(std::remove_if(ins.begin(), ins.end(),
                              [&](const rm::InProp& x) {
-                               return x.object == msg.candidate &&
-                                      x.process == parent;
+                               return x.object == pc.object &&
+                                      x.process == pc.parent;
                              }),
               ins.end());
     auto cut = std::make_unique<PropCutMsg>();
-    cut->object = msg.candidate;
-    cut->expected_uc = expected_uc;
+    cut->object = pc.object;
+    cut->expected_uc = pc.uc;
     cut->detection_id = msg.detection_id;
-    process_.network().send(process_.id(), parent, std::move(cut));
+    process_.network().send(process_.id(), pc.parent, std::move(cut));
     process_.note_mutation();
     process_.metrics().add("cycle.props_cut");
     ++props_cut;
@@ -673,6 +759,7 @@ void CycleDetector::record_abort(Visit v, std::uint64_t parent) {
       reason = "unknown_entity";
       break;
     case Visit::kOk:
+    case Visit::kSuppressed:  // parked by on_cdm, not an abort
       return;
   }
   if (auto& trace = util::Trace::instance(); trace.enabled()) {

@@ -24,8 +24,8 @@
 //       replicas before parents (§3.3's traversal policy, and the reason
 //       our detector floods less than the replication-blind baseline);
 //     - matching: when every dependency appears in the target set, a
-//       garbage cycle is proven; the candidate's recorded incoming
-//       dependencies (scions / prop links) are cut, and the acyclic
+//       garbage cycle is proven; every observed incoming link (scion /
+//       prop link) inside the proven set is cut, and the acyclic
 //       machinery reclaims the whole cycle.
 //
 // Race barrier (§3.5): every examination records the snapshot's invocation
@@ -33,6 +33,16 @@
 // observations of the same link means a mutator or the coherence engine
 // moved behind the detector's back — the track aborts (optimistic scheme:
 // applications never block, a detection is merely wasted).
+//
+// Wave suppression: the detections started at one virtual step form a
+// wave (one run_full_gc round, one daemon sweep).  Each snapshot entry
+// remembers the lowest priority of the wave that examined it, and a CDM of
+// the same wave with a higher priority that reaches the entry later is
+// parked — it would walk the same structure again.  Priority is a hash of
+// (detection_id, started_step), so the winner changes from wave to wave.
+// A winner can still fail where a parked track would have proved the
+// cycle; run_full_gc resumes the parked tracks when its wave proved
+// nothing (resume_parked), and a daemon's next sweep ranks a new wave.
 //
 // CDM ownership: a track's Cdm is moved, not copied, from hop to hop.
 // on_cdm takes the delivered message over (the network hands it to the
@@ -47,6 +57,7 @@
 #include <functional>
 #include <map>
 #include <optional>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -95,7 +106,7 @@ class CycleDetector {
   [[nodiscard]] const ProcessSummary& summary() const { return *summary_; }
 
   /// Invoked (on the process where matching completed) with the proven
-  /// cycle; the Cluster turns it into a CutMsg for the candidate process.
+  /// cycle; the Cluster turns it into CutMsgs (make_cuts).
   std::function<void(const Cdm&)> on_cycle_found;
 
   /// Starts a detection with `candidate` (a local object) as the suspect.
@@ -109,9 +120,26 @@ class CycleDetector {
   void on_cut(const net::Envelope& env, const CutMsg& msg);
   void on_prop_cut(const net::Envelope& env, const PropCutMsg& msg);
 
-  /// Builds the cut instruction for a proven cycle from the verdict CDM's
-  /// observations (exposed for the Cluster and for tests).
-  [[nodiscard]] static CutMsg make_cut(const Cdm& cdm);
+  /// Builds the cut fan-out of a proven cycle from the verdict CDM's
+  /// observations: the scion of every observed reference link in `proven`,
+  /// and every observed propagation link both of whose replicas are in
+  /// `proven` (cut at the child's inProp).  One CutMsg per process holding
+  /// such a link, keyed by that process; empty when there is nothing to
+  /// cut.  `proven` is Cdm::required_closure() for this detector and the
+  /// target set for the flat-matching baseline.
+  [[nodiscard]] static std::map<ProcessId, CutMsg> make_cuts(
+      const Cdm& cdm, const util::FlatSet<Element>& proven);
+  /// Sends make_cuts(cdm, proven) from this process, in pid order; counts
+  /// cycle.cuts_empty when the verdict has nothing to cut.
+  void send_cuts(const Cdm& cdm, const util::FlatSet<Element>& proven);
+
+  /// Resumes every track parked by wave suppression since the snapshot,
+  /// past the check that parked it, and returns how many.  Meant for a
+  /// wave that ended without a proof: then every suppressor failed too,
+  /// and the parked tracks are the work that could still prove something
+  /// (Cluster::run_full_gc).  A resumed track may be parked again further
+  /// on.  Parked tracks are discarded with the snapshot.
+  std::size_t resume_parked();
 
   /// Installs a wall-clock histogram (owned by the caller) that receives
   /// one sample per start_detection/on_cdm invocation, in microseconds.
@@ -120,7 +148,7 @@ class CycleDetector {
   void set_profile(util::Histogram* hist) noexcept { profile_us_ = hist; }
 
  private:
-  enum class Visit { kOk, kAbortLive, kAbortRace, kUnknownEntity };
+  enum class Visit { kOk, kAbortLive, kAbortRace, kUnknownEntity, kSuppressed };
 
   /// Full examination of object `obj` on this process.  `as_start` applies
   /// the candidate-seeding rules (no target insertion, no own-scion
@@ -147,6 +175,26 @@ class CycleDetector {
   /// to `parent` (the track's latest CDM event).
   void record_abort(Visit v, std::uint64_t parent);
 
+  /// A CDM that reached this process: its entry, how it got there, and the
+  /// track it carries.
+  struct Arrival {
+    ObjectId entry{kNoObject};
+    EntryVia via{EntryVia::kRef};
+    bool forwarded{false};
+    Cdm cdm;
+  };
+
+  /// Subsumption filter, examination and conclusion of one arrival: on_cdm
+  /// past its snapshot and suppression checks, and resume_parked().
+  void deliver(Arrival arrival);
+
+  /// Wave suppression (see the header comment): kSuppressed when a
+  /// detection of `cdm`'s wave with a lower priority already examined
+  /// `entry` in this snapshot, else kOk.
+  [[nodiscard]] Visit admit(const Cdm& cdm, ObjectId entry) const;
+  /// Records that `cdm` examined `obj` (keeps the wave's lowest priority).
+  void mark_examined(const Cdm& cdm, ObjectId obj);
+
   /// Per-(detection, entry) subsumption filter: an arriving CDM whose
   /// target set is a subset of one already processed here for the same
   /// entry cannot discover anything new — drop it.  Keeps flooding linear
@@ -164,10 +212,13 @@ class CycleDetector {
     util::Counter cdms_received;
     util::Counter drops_no_snapshot;
     util::Counter drops_subsumed;
+    util::Counter drops_suppressed;
+    util::Counter suppressed_resumed;
     util::Counter cdms_sent;
     util::Counter forwards;
     util::Counter local_forks;
     util::Counter cycles_found;
+    util::Counter cuts_empty;
     util::Counter tracks_ended;
     util::Counter aborts_live;
     util::Counter aborts_race;
@@ -191,6 +242,16 @@ class CycleDetector {
   std::map<std::pair<std::uint64_t, ObjectId>,
            std::vector<util::FlatSet<Element>>>
       seen_entries_;
+  /// Wave suppression state, cleared with every new snapshot: per examined
+  /// object, the newest wave (started_step) that examined it and the lowest
+  /// priority of that wave.
+  struct WaveMark {
+    std::uint64_t wave{0};
+    std::uint64_t priority{0};
+  };
+  std::unordered_map<ObjectId, WaveMark> wave_marks_;
+  /// Tracks parked by wave suppression since the snapshot.
+  std::vector<Arrival> parked_;
 };
 
 }  // namespace rgc::gc

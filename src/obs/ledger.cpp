@@ -121,17 +121,17 @@ Ledger::Ledger(LedgerConfig config) : config_(config) {
   live_gauge_ = metrics_.gauge("ledger.live");
   completed_gauge_ = metrics_.gauge("ledger.completed");
   metrics_.gauge("ledger.capacity").set(config_.capacity);
-  // Touch the decomposition histograms so the family set is fixed from the
-  // start — report/Prometheus output then has identical shape whether or
-  // not a run proved any cycle yet.
-  metrics_.histogram("ledger.e2e_steps");
-  metrics_.histogram("ledger.detect_steps");
-  metrics_.histogram("ledger.wait_steps");
-  metrics_.histogram("ledger.transit_steps");
-  metrics_.histogram("ledger.digest_steps");
-  metrics_.histogram("ledger.cut_steps");
-  metrics_.histogram("ledger.sweep_wait_steps");
-  metrics_.histogram("ledger.critical_hops");
+  // Resolve the decomposition histograms up front, so the family set is
+  // fixed from the start — report/Prometheus output then has identical
+  // shape whether or not a run proved any cycle yet.
+  e2e_hist_ = &metrics_.histogram("ledger.e2e_steps");
+  detect_hist_ = &metrics_.histogram("ledger.detect_steps");
+  wait_hist_ = &metrics_.histogram("ledger.wait_steps");
+  transit_hist_ = &metrics_.histogram("ledger.transit_steps");
+  digest_hist_ = &metrics_.histogram("ledger.digest_steps");
+  cut_hist_ = &metrics_.histogram("ledger.cut_steps");
+  sweep_wait_hist_ = &metrics_.histogram("ledger.sweep_wait_steps");
+  critical_hops_hist_ = &metrics_.histogram("ledger.critical_hops");
 }
 
 std::uint64_t Ledger::clock(std::uint64_t fallback) const noexcept {
@@ -207,6 +207,8 @@ void Ledger::release(int slot) {
   rec.cut_seq = 0;
   rec.cut_seen = false;
   rec.cut_src = kNoProcess;
+  rec.cuts_pending = 0;
+  rec.reclaim_pending = false;
   rec.hop_overflow = false;
   live_gauge_.set(live());
 }
@@ -276,6 +278,7 @@ void Ledger::on_send(const net::Envelope& env) {
         LiveRec& rec = live_[static_cast<std::size_t>(slot)];
         ++rec.entry.cut_msgs;
         rec.entry.cut_weight += cut->weight();
+        ++rec.cuts_pending;
         if (!rec.cut_seen) {
           rec.cut_seen = true;
           rec.cut_seq = env.seq;
@@ -361,6 +364,10 @@ void Ledger::on_deliver(const net::Envelope& env) {
 }
 
 void Ledger::on_drop(const net::Envelope& env) {
+  if (const auto* cut = dynamic_cast<const gc::CutMsg*>(env.msg)) {
+    cut_settled(slot_of(cut->detection_id, false, nullptr));
+    return;
+  }
   const auto* cdm = dynamic_cast<const gc::CdmMsg*>(env.msg);
   if (cdm == nullptr) return;
   cdm_dropped_.inc();
@@ -466,6 +473,16 @@ void Ledger::cut_applied(std::uint64_t detection_id, std::uint64_t scions_cut,
   e.scions_cut += scions_cut;
   e.props_cut += props_cut;
   e.cuts_stale += stale;
+  cut_settled(slot);
+}
+
+void Ledger::cut_settled(int slot) {
+  if (slot < 0) return;
+  LiveRec& rec = live_[static_cast<std::size_t>(slot)];
+  if (rec.cuts_pending > 0) --rec.cuts_pending;
+  if (rec.reclaim_pending && rec.cuts_pending == 0) {
+    finalize(slot, rec.entry.reclaimed_step);
+  }
 }
 
 void Ledger::object_reclaimed(ProcessId pid, ObjectId object,
@@ -484,6 +501,13 @@ void Ledger::object_reclaimed(ProcessId pid, ObjectId object,
   awaiting_.erase(it);
   if (is_candidate) {
     rec.entry.reclaimed_step = step;
+    // The candidate can fall before the rest of the cut fan-out landed;
+    // the entry stays live until every Cut was applied, so each one is
+    // charged to it (cut_settled completes it).
+    if (rec.cuts_pending > 0) {
+      rec.reclaim_pending = true;
+      return;
+    }
     finalize(static_cast<int>(slot), step);
   }
 }
@@ -507,15 +531,14 @@ void Ledger::finalize(int slot, std::uint64_t step) {
   e.complete = true;
 
   reclaimed_.inc();
-  metrics_.histogram("ledger.e2e_steps").record(e.e2e_steps);
-  metrics_.histogram("ledger.detect_steps").record(e.detect_steps);
-  metrics_.histogram("ledger.wait_steps").record(e.wait_steps);
-  metrics_.histogram("ledger.transit_steps").record(e.transit_steps);
-  metrics_.histogram("ledger.digest_steps").record(e.digest_steps);
-  metrics_.histogram("ledger.cut_steps")
-      .record(e.cut_wait_steps + e.cut_transit_steps);
-  metrics_.histogram("ledger.sweep_wait_steps").record(e.sweep_wait_steps);
-  metrics_.histogram("ledger.critical_hops").record(e.path.size());
+  e2e_hist_->record(e.e2e_steps);
+  detect_hist_->record(e.detect_steps);
+  wait_hist_->record(e.wait_steps);
+  transit_hist_->record(e.transit_steps);
+  digest_hist_->record(e.digest_steps);
+  cut_hist_->record(e.cut_wait_steps + e.cut_transit_steps);
+  sweep_wait_hist_->record(e.sweep_wait_steps);
+  critical_hops_hist_->record(e.path.size());
 
   if (done_.size() < config_.capacity) {
     done_.push_back(std::move(e));

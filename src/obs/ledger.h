@@ -163,7 +163,7 @@ class Ledger final : public net::Network::Observer {
   /// verdict wins; duplicates are counted and ignored.
   void cycle_proven(ProcessId at, const gc::Cdm& cdm,
                     std::uint64_t unlinked_step);
-  /// The candidate's process applied (or skipped) a Cut verdict.
+  /// A process applied (or skipped) one Cut of a verdict's fan-out.
   void cut_applied(std::uint64_t detection_id, std::uint64_t scions_cut,
                    std::uint64_t props_cut, std::uint64_t stale);
   /// The LGC sweep on `pid` freed `object` at `step`.  The candidate's
@@ -216,10 +216,14 @@ class Ledger final : public net::Network::Observer {
     std::map<ProcessId, std::uint32_t> last_delivered;
     bool proven{false};
     std::uint32_t verdict_hop{kNoHop};
-    /// Cut send/deliver matching (first Cut toward the candidate).
+    /// Cut send/deliver matching (the first Cut of the fan-out).
     std::uint64_t cut_seq{0};
     bool cut_seen{false};
     ProcessId cut_src{kNoProcess};
+    /// Cuts of the fan-out sent but not yet applied or dropped, and whether
+    /// the candidate was reclaimed while some were (completion waits).
+    std::uint32_t cuts_pending{0};
+    bool reclaim_pending{false};
     bool hop_overflow{false};
   };
 
@@ -231,6 +235,9 @@ class Ledger final : public net::Network::Observer {
   int slot_of(std::uint64_t id, bool create, const gc::Cdm* cdm);
   void release(int slot);
   void finalize(int slot, std::uint64_t step);
+  /// One Cut of the slot's fan-out was applied or dropped; completes the
+  /// entry when it was the last one the reclaimed candidate waited on.
+  void cut_settled(int slot);
   void attribute_member(ObjectId object, bool adgc, std::uint64_t weight);
 
   void cdm_send(const net::Envelope& env, const gc::CdmMsg& msg);
@@ -267,6 +274,15 @@ class Ledger final : public net::Network::Observer {
   util::Counter coherence_weight_;
   util::Gauge live_gauge_;
   util::Gauge completed_gauge_;
+  /// Decomposition histograms, resolved once at construction.
+  util::Histogram* e2e_hist_{nullptr};
+  util::Histogram* detect_hist_{nullptr};
+  util::Histogram* wait_hist_{nullptr};
+  util::Histogram* transit_hist_{nullptr};
+  util::Histogram* digest_hist_{nullptr};
+  util::Histogram* cut_hist_{nullptr};
+  util::Histogram* sweep_wait_hist_{nullptr};
+  util::Histogram* critical_hops_hist_{nullptr};
 };
 
 }  // namespace rgc::obs

@@ -75,7 +75,7 @@ TEST(Detector, PurePropagationCycleIsDetectedAndReclaimed) {
   EXPECT_EQ(cluster.total_objects(), 0u);
 }
 
-TEST(Detector, MakeCutRecordsCandidateLinksOnly) {
+TEST(Detector, MakeCutsCoverTheProvenClosure) {
   Cluster cluster;
   const auto f = workload::build_figure2(cluster);
   cluster.snapshot_all();
@@ -83,12 +83,31 @@ TEST(Detector, MakeCutRecordsCandidateLinksOnly) {
   cluster.run_until_quiescent();
   ASSERT_EQ(cluster.cycles_found().size(), 1u);
 
-  const CutMsg cut = CycleDetector::make_cut(cluster.cycles_found().front());
-  EXPECT_EQ(cut.candidate, f.x);
-  // X@P1's incoming dependencies: the scion from P3 and no inProp links.
-  ASSERT_EQ(cut.scion_cuts.size(), 1u);
-  EXPECT_EQ(cut.scion_cuts[0].first, (rm::ScionKey{f.p3, f.x}));
-  EXPECT_TRUE(cut.prop_cuts.empty());
+  const Cdm& verdict = cluster.cycles_found().front();
+  const auto cuts = CycleDetector::make_cuts(verdict, verdict.required_closure());
+  // Every incoming link inside the proven cycle, one message per holder:
+  // X@P1's scion from P3, X'@P2's inProp from P1, Y@P4's scion from P2 and
+  // Y'@P3's inProp from P4.
+  ASSERT_EQ(cuts.size(), 4u);
+  for (const auto& [pid, cut] : cuts) {
+    EXPECT_EQ(cut.candidate, f.x);
+    EXPECT_EQ(cut.detection_id, verdict.detection_id);
+  }
+  ASSERT_EQ(cuts.at(f.p1).scion_cuts.size(), 1u);
+  EXPECT_EQ(cuts.at(f.p1).scion_cuts[0].first, (rm::ScionKey{f.p3, f.x}));
+  EXPECT_TRUE(cuts.at(f.p1).prop_cuts.empty());
+  EXPECT_TRUE(cuts.at(f.p2).scion_cuts.empty());
+  ASSERT_EQ(cuts.at(f.p2).prop_cuts.size(), 1u);
+  EXPECT_EQ(cuts.at(f.p2).prop_cuts[0].object, f.x);
+  EXPECT_EQ(cuts.at(f.p2).prop_cuts[0].parent, f.p1);
+  ASSERT_EQ(cuts.at(f.p4).scion_cuts.size(), 1u);
+  EXPECT_EQ(cuts.at(f.p4).scion_cuts[0].first, (rm::ScionKey{f.p2, f.y}));
+  ASSERT_EQ(cuts.at(f.p3).prop_cuts.size(), 1u);
+  EXPECT_EQ(cuts.at(f.p3).prop_cuts[0].object, f.y);
+  EXPECT_EQ(cuts.at(f.p3).prop_cuts[0].parent, f.p4);
+
+  // Nothing outside the proven set is ever cut.
+  EXPECT_TRUE(CycleDetector::make_cuts(verdict, {}).empty());
 }
 
 TEST(Detector, StaleCutIsSkippedAfterInvocation) {
@@ -107,8 +126,9 @@ TEST(Detector, StaleCutIsSkippedAfterInvocation) {
   manual.invoke(f.p3, f.x);
   manual.run_until_quiescent();
 
+  const Cdm& verdict = manual.cycles_found().front();
   auto cut = std::make_unique<CutMsg>(
-      CycleDetector::make_cut(manual.cycles_found().front()));
+      CycleDetector::make_cuts(verdict, verdict.required_closure()).at(f.p1));
   manual.network().send(f.p1, f.p1, std::move(cut));
   manual.run_until_quiescent();
   EXPECT_TRUE(manual.process(f.p1).scions().contains(rm::ScionKey{f.p3, f.x}))
@@ -123,9 +143,10 @@ TEST(Detector, DuplicateVerdictCutsAreIdempotent) {
   cluster.detect(f.p1, f.x);
   cluster.run_until_quiescent();
   ASSERT_EQ(cluster.cycles_found().size(), 1u);
-  // Replay the same cut.
+  // Replay the candidate's cut.
+  const Cdm& verdict = cluster.cycles_found().front();
   auto cut = std::make_unique<CutMsg>(
-      CycleDetector::make_cut(cluster.cycles_found().front()));
+      CycleDetector::make_cuts(verdict, verdict.required_closure()).at(f.p1));
   cluster.network().send(f.p1, f.p1, std::move(cut));
   cluster.run_until_quiescent();
   EXPECT_EQ(cluster.process(f.p1).metrics().get("cycle.scions_cut"), 1u);

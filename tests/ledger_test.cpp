@@ -109,10 +109,52 @@ TEST(LedgerTest, MeshRunAttributesCutAndTraffic) {
   EXPECT_GT(e->cdm_weight, e->cdm_msgs);  // CDMs carry sets, weight > count
   EXPECT_GE(e->cut_msgs, 1u);
   EXPECT_GE(e->scions_cut + e->props_cut, 1u);
+  // The whole cut fan-out is charged to its detection: with one proof for
+  // the mesh, that entry accounts for every link cut in the run.
+  ASSERT_EQ(cluster.cycles_found().size(), 1u);
+  EXPECT_EQ(e->scions_cut + e->props_cut,
+            cluster.metric_total("cycle.scions_cut") +
+                cluster.metric_total("cycle.props_cut"));
   EXPECT_GE(e->members_reclaimed, 1u);
   EXPECT_GT(e->hops, 0u);
   EXPECT_FALSE(e->dominant().empty());
   EXPECT_FALSE(e->path.empty());
+}
+
+TEST(LedgerTest, EntryWaitsForTheWholeCutFanOut) {
+  // A daemon-like eager collector can free the candidate before the
+  // verdict's other Cuts land; the entry must stay open until they do, so
+  // every link of the fan-out is charged to it.
+  core::ClusterConfig cfg;
+  cfg.net.seed = 1;
+  cfg.net.min_delay = 1;
+  cfg.net.max_delay = 8;
+  core::Cluster cluster{cfg};
+  const workload::Figure2 f = workload::build_figure2(cluster);
+  cluster.snapshot_all();
+  ASSERT_TRUE(cluster.detect(f.p1, f.x).has_value());
+  bool open_at_reclaim = false;
+  for (int t = 0; t < 400 && cluster.process(f.p1).heap().contains(f.x); ++t) {
+    cluster.step();
+    if (cluster.cycles_found().empty()) continue;
+    cluster.collect(f.p1);
+    if (!cluster.process(f.p1).heap().contains(f.x)) {
+      const LedgerEntry* e =
+          cluster.ledger()->find(cluster.cycles_found().front().detection_id);
+      open_at_reclaim = e != nullptr && !e->complete;
+    }
+  }
+  ASSERT_FALSE(cluster.process(f.p1).heap().contains(f.x));
+  EXPECT_TRUE(open_at_reclaim) << "Cuts were still in flight at the reclaim";
+  cluster.run_until_quiescent();
+  const LedgerEntry* e =
+      cluster.ledger()->find(cluster.cycles_found().front().detection_id);
+  ASSERT_NE(e, nullptr);
+  EXPECT_TRUE(e->complete);
+  EXPECT_EQ(e->scions_cut + e->props_cut, 4u);
+  EXPECT_EQ(e->scions_cut + e->props_cut,
+            cluster.metric_total("cycle.scions_cut") +
+                cluster.metric_total("cycle.props_cut"));
 }
 
 // ---- Determinism -----------------------------------------------------------

@@ -116,7 +116,7 @@ TEST(ProtocolGuards, CutForVanishedScionIsANoOp) {
   CutMsg cut;
   cut.candidate = ObjectId{7};
   cut.scion_cuts.emplace_back(rm::ScionKey{p2, ObjectId{7}}, 0);
-  cut.prop_cuts.emplace_back(p2, 0);
+  cut.prop_cuts.push_back(PropCut{ObjectId{7}, p2, 0});
   const net::Envelope env{p2, p1, 1, 0, &cut};
   EXPECT_NO_THROW(cluster.detector(p1).on_cut(env, cut));
   EXPECT_EQ(cluster.process(p1).metrics().get("cycle.scions_cut"), 0u);
@@ -140,14 +140,22 @@ TEST(ProtocolGuards, PropCycleCutCarriesPropLinks) {
   cluster.run_until_quiescent();
   ASSERT_EQ(cluster.cycles_found().size(), 1u);
 
-  const CutMsg cut = CycleDetector::make_cut(cluster.cycles_found().front());
-  EXPECT_TRUE(cut.scion_cuts.empty());
-  ASSERT_EQ(cut.prop_cuts.size(), 1u);
-  EXPECT_EQ(cut.prop_cuts[0].first, p2) << "parent of the candidate's inProp";
-  // The auto-cut already applied: the links are gone.
-  EXPECT_EQ(cluster.process(p1).find_in_prop(a, p2), nullptr);
+  const Cdm& verdict = cluster.cycles_found().front();
+  const auto cuts = CycleDetector::make_cuts(verdict, verdict.required_closure());
+  ASSERT_EQ(cuts.size(), 2u) << "each replica's inProp is cut where it lives";
+  for (const auto& [child, parent] : {std::pair{p1, p2}, std::pair{p2, p1}}) {
+    const CutMsg& cut = cuts.at(child);
+    EXPECT_TRUE(cut.scion_cuts.empty());
+    ASSERT_EQ(cut.prop_cuts.size(), 1u);
+    EXPECT_EQ(cut.prop_cuts[0].object, a);
+    EXPECT_EQ(cut.prop_cuts[0].parent, parent);
+  }
+  // The auto-cut already applied: the links are gone on both sides.
   cluster.run_until_quiescent();
+  EXPECT_EQ(cluster.process(p1).find_in_prop(a, p2), nullptr);
   EXPECT_EQ(cluster.process(p2).find_out_prop(a, p1), nullptr);
+  EXPECT_EQ(cluster.process(p2).find_in_prop(a, p1), nullptr);
+  EXPECT_EQ(cluster.process(p1).find_out_prop(a, p2), nullptr);
 }
 
 }  // namespace

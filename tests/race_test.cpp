@@ -184,5 +184,45 @@ TEST_F(RaceFixture, FullGcUnderInterleavedMutationNeverBreaksLiveData) {
   }
 }
 
+TEST(RaceCut, InvocationOnAClosureLinkAwayFromTheCandidateSkipsOnlyThatCut) {
+  core::ClusterConfig cfg;
+  cfg.auto_cut = false;  // the verdict's Cuts go out by hand, after the race
+  Cluster cluster{cfg};
+  const workload::Figure2 f = workload::build_figure2(cluster);
+  cluster.snapshot_all();
+  ASSERT_TRUE(cluster.detect(f.p1, f.x).has_value());
+  cluster.run_until_quiescent();
+  ASSERT_EQ(cluster.cycles_found().size(), 1u);
+  const Cdm verdict = cluster.cycles_found().front();
+
+  // Between the verdict and its Cuts, X'@P2 invokes Y@P4 through the
+  // P2->Y reference: a link of the proven closure, two hops from the
+  // candidate X@P1.  Its IC moves past the one the detection observed.
+  cluster.invoke(f.p2, f.y);
+  cluster.run_until_quiescent();
+
+  for (auto& [pid, cut] :
+       CycleDetector::make_cuts(verdict, verdict.required_closure())) {
+    cluster.network().send(f.p1, pid, std::make_unique<CutMsg>(std::move(cut)));
+  }
+  cluster.run_until_quiescent();
+  EXPECT_EQ(cluster.metric_total("cycle.cuts_stale"), 1u);
+  EXPECT_TRUE(cluster.process(f.p4).scions().contains(rm::ScionKey{f.p2, f.y}))
+      << "the raced link's cut must be skipped, never misapplied";
+  EXPECT_FALSE(cluster.process(f.p1).scions().contains(rm::ScionKey{f.p3, f.x}));
+  EXPECT_EQ(cluster.metric_total("cycle.scions_cut"), 1u);
+  EXPECT_EQ(cluster.metric_total("cycle.props_cut"), 2u);
+  EXPECT_EQ(cluster.audit().errors(), 0u);
+
+  // Safety throughout, and the acyclic protocol still takes the rest.
+  for (int i = 0; i < 12; ++i) {
+    cluster.collect_all();
+    cluster.run_until_quiescent();
+    ASSERT_TRUE(Oracle::analyze(cluster).violations.empty());
+  }
+  EXPECT_TRUE(Oracle::fully_collected(cluster, Oracle::analyze(cluster)));
+  EXPECT_EQ(cluster.audit().errors(), 0u);
+}
+
 }  // namespace
 }  // namespace rgc::gc
